@@ -17,7 +17,7 @@ from .partitions import (
     union,
 )
 from .qpoly import QPoly
-from .symfunc import POWERSUM, SCHUR, SymFunc, _acc, _p_to_schur_row, _schur_to_p_row
+from .symfunc import POWERSUM, SCHUR, SymFunc, _acc, change_basis, pleth_leg
 
 
 class BiSymFunc:
@@ -149,15 +149,7 @@ class BiSymFunc:
     def _convert(self, target: str) -> "BiSymFunc":
         if self.basis == target:
             return self
-        row = _p_to_schur_row if target == SCHUR else _schur_to_p_row
-        out: dict[tuple, QPoly] = {}
-        for (lx, ly), c in self.terms.items():
-            row_x = row(lx) if lx else {(): 1}
-            row_y = row(ly) if ly else {(): 1}
-            for nx, wx in row_x.items():
-                cwx = c * wx
-                for ny, wy in row_y.items():
-                    _acc(out, (nx, ny), cwx * wy)
+        out = change_basis(self.terms, target, self.bidegree)
         return BiSymFunc._raw(target, self.xdeg, self.ydeg, out)
 
     def to_powersum(self) -> "BiSymFunc":
@@ -184,27 +176,8 @@ class BiSymFunc:
     def pleth_y(self, inner: SymFunc) -> "BiSymFunc":
         """Plethysm with `inner` applied to the y-leg of every monomial."""
         f = self.to_powersum()
-        g = inner.to_powersum()
-        out: dict[tuple, QPoly] = {}
-        power_cache: dict[int, dict] = {}
-        for (lx, ly), c in f.terms.items():
-            running = {(): QPoly(1)}
-            for a in ly:
-                pa = power_cache.get(a)
-                if pa is None:
-                    pa = {
-                        tuple(x * a for x in mu): qc.stretch(a)
-                        for mu, qc in g.terms.items()
-                    }
-                    power_cache[a] = pa
-                nxt: dict[tuple[int, ...], QPoly] = {}
-                for k1, c1 in running.items():
-                    for k2, c2 in pa.items():
-                        _acc(nxt, union(k1, k2), c1 * c2)
-                running = nxt
-            for key, qc in running.items():
-                _acc(out, (lx, key), qc * c)
-        return BiSymFunc._raw(POWERSUM, f.xdeg, f.ydeg * g.degree, out)
+        out = pleth_leg(f.terms, 1, inner)
+        return BiSymFunc._raw(POWERSUM, f.xdeg, f.ydeg * inner.degree, out)
 
     def swap_legs(self) -> "BiSymFunc":
         out = {(ly, lx): c for (lx, ly), c in self.terms.items()}
@@ -219,10 +192,6 @@ class BiSymFunc:
         res = SymFunc.__new__(SymFunc)
         res.basis, res.degree, res.terms = POWERSUM, f.xdeg + f.ydeg, out
         return res
-
-    def x_symfunc(self) -> SymFunc:
-        """Extract the x-leg; requires the y-leg to be trivial."""
-        return self.swap_legs().y_symfunc()
 
     def y_symfunc(self) -> SymFunc:
         if self.xdeg != 0:

@@ -19,6 +19,8 @@ and a plethysm with the character of the blown-up stratum.
 """
 
 import json
+import os
+import threading
 from pathlib import Path
 
 from .partitions import partitions_of
@@ -266,7 +268,14 @@ class CharacterCalculator:
             payload = {"v": CACHE_SCHEMA_VERSION, "n": n, "k": k, "l": l}
             payload.update(in_schur.to_json_dict())
             path = self.cache_dir / f"E_{n}_{k}_{l}.json"
-            path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+            # Write a private temporary file and rename it over the target, so
+            # a crash or a concurrent writer never leaves a truncated E_*.json.
+            tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+            try:
+                tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
 
     def _load(self, key):
         if self.cache_dir is None:

@@ -175,6 +175,34 @@ class QPoly:
                     rem.pop(nk, None)
         return QPoly(quot)
 
+    def pack(self, scale: int, bits: int) -> int:
+        """The integer scale * p(2^bits), one base-2^bits digit per coefficient.
+
+        `scale` must clear every denominator.  `unpack` recovers the
+        polynomial from any integer combination of packed values whose
+        coefficients stay below 2^(bits-1) in absolute value.
+        """
+        return sum(v.numerator * (scale // v.denominator) << (bits * k) for k, v in self._c.items())
+
+    @classmethod
+    def unpack(cls, x: int, bits: int, divisor: int) -> "QPoly":
+        """The polynomial whose coefficients are the balanced base-2^bits
+        digits of x, each divided by `divisor`."""
+        base = 1 << bits
+        out: dict[int, Fraction] = {}
+        k = 0
+        while x:
+            d = x & (base - 1)
+            if d >= base >> 1:
+                d -= base
+            if d:
+                out[k] = Fraction(d, divisor)
+            x = (x - d) >> bits
+            k += 1
+        res = cls.__new__(cls)
+        res._c = out
+        return res
+
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
         return sum((v * x**k for k, v in self._c.items()), Fraction(0))

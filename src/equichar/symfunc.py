@@ -3,8 +3,14 @@
 The power-sum basis is the working basis: the ordinary product is a multiset
 union of indices, the Kronecker product is diagonal, plethysm stretches
 indices, and the normalized partial derivative acts monomial by monomial.
-The Schur basis is the presentation basis; the change of basis runs through
-Murnaghan-Nakayama character values, memoized globally.
+The Schur basis is the presentation basis.  The change of basis goes through
+the characteristic map: `change_basis` treats one leg of a (multi-)symmetric
+function at a time, as an integer product with the character values
+chi^lam(mu) (power sums to Schur) or with the class sizes times character
+values, (n!/z_mu) chi^lam(mu) (Schur to power sums), on coefficients scaled
+to integers.  One exact division at the end restores the rationals.  The
+character values come from the Murnaghan-Nakayama rule; they and the
+integer rows are memoized globally.
 
 Plethysm twists the grading variable: p_a composed with q^k p_mu gives
 q^(a*k) p_(a*mu), while q-coefficients of the outer operand pass through
@@ -13,7 +19,7 @@ untouched (the same convention the Kronecker product uses).
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm, prod
 
 from .partitions import (
     centralizer_order,
@@ -71,27 +77,102 @@ def character_value(lam, mu) -> int:
 
 
 @cache
-def _schur_to_p_row(lam):
-    """Coefficients of s_lam on the power sums: mu -> chi^lam(mu)/z_mu."""
-    n = sum(lam)
-    row = {}
-    for mu in partitions_of(n):
-        chi = character_value(lam, mu)
-        if chi:
-            row[mu] = Fraction(chi, centralizer_order(mu))
-    return row
+def _schur_row(mu):
+    """p_mu on the Schur basis: pairs (i, chi^lam(mu)) for lam = partitions_of(|mu|)[i]."""
+    return tuple(
+        (i, chi)
+        for i, lam in enumerate(partitions_of(sum(mu)))
+        if (chi := character_value(lam, mu))
+    )
 
 
 @cache
-def _p_to_schur_row(mu):
-    """Coefficients of p_mu on the Schur basis: lam -> chi^lam(mu)."""
-    n = sum(mu)
-    row = {}
-    for lam in partitions_of(n):
-        chi = character_value(lam, mu)
-        if chi:
-            row[lam] = chi
-    return row
+def _powersum_row(lam):
+    """n! s_lam on the power sums: pairs (i, (n!/z_mu) chi^lam(mu)) for mu = partitions_of(n)[i]."""
+    n = sum(lam)
+    return tuple(
+        (i, factorial(n) // centralizer_order(mu) * chi)
+        for i, mu in enumerate(partitions_of(n))
+        if (chi := character_value(lam, mu))
+    )
+
+
+def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
+    """Rewrite {legs: QPoly} in the `target` basis, one leg at a time.
+
+    Keys are tuples holding one partition per leg, of the sizes in `degrees`.
+    The coefficients are scaled to integers by the lcm of their denominators
+    and packed into one integer each by substituting q = 2^bits.  Each leg is
+    then one integer product with its row table; the Schur -> power-sum rows
+    carry the class sizes n!/z_mu, so the only division, by the scale and by
+    the product of the leg factorials, comes at the end, and a remainder there
+    leaves a Fraction coefficient.
+    """
+    row = _schur_row if target == SCHUR else _powersum_row
+    divisor = 1 if target == SCHUR else prod(factorial(d) for d in degrees)
+    coeffs = [v for c in terms.values() for _, v in c.items()]
+    if not coeffs:
+        return {}
+    scale = lcm(*(v.denominator for v in coeffs))
+    divisor *= scale
+    height = max(abs(v.numerator) * (scale // v.denominator) for v in coeffs)
+    # |chi^lam(mu)| and n!/z_mu are at most n!, so every output coefficient is
+    # below `bound` in absolute value and its base-2^bits digit cannot carry.
+    bound = len(coeffs) * height * prod(factorial(d) ** 2 for d in degrees)
+    bits = bound.bit_length() + 1
+    packed = {key: c.pack(scale, bits) for key, c in terms.items()}
+    for leg, degree in enumerate(degrees):
+        if not degree:
+            continue
+        parts = partitions_of(degree)
+        groups: dict[tuple, list] = {}
+        for key, x in packed.items():
+            groups.setdefault(key[:leg] + key[leg + 1 :], []).append((key[leg], x))
+        packed = {}
+        for rest, column in groups.items():
+            acc = [0] * len(parts)
+            for lam, x in column:
+                for i, w in row(lam):
+                    acc[i] += w * x
+            for i, x in enumerate(acc):
+                if x:
+                    packed[rest[:leg] + (parts[i],) + rest[leg:]] = x
+    return {key: QPoly.unpack(x, bits, divisor) for key, x in packed.items()}
+
+
+def pleth_leg(terms: dict, leg: int, inner: "SymFunc") -> dict:
+    """Plethysm with `inner` applied to position `leg` of every key of {legs: QPoly}.
+
+    Indices of the inner operand are stretched along with its q-powers
+    (p_a o q^k p_mu = q^(ak) p_(a mu)); the outer coefficients are inert.
+    """
+    g = inner.to_powersum()
+    power_cache: dict[int, dict] = {}
+    out: dict[tuple, QPoly] = {}
+    for key, c in terms.items():
+        running = None
+        for a in key[leg]:
+            pa = power_cache.get(a)
+            if pa is None:
+                pa = {
+                    tuple(x * a for x in mu): qc.stretch(a)
+                    for mu, qc in g.terms.items()
+                }
+                power_cache[a] = pa
+            if running is None:
+                running = pa
+                continue
+            nxt: dict[tuple[int, ...], QPoly] = {}
+            for k1, c1 in running.items():
+                for k2, c2 in pa.items():
+                    _acc(nxt, union(k1, k2), c1 * c2)
+            running = nxt
+        if running is None:  # the empty leg: p_() o g = 1
+            running = {(): QPoly(1)}
+        head, tail = key[:leg], key[leg + 1 :]
+        for nu, qc in running.items():
+            _acc(out, head + (nu,) + tail, qc * c)
+    return out
 
 
 def _acc(terms: dict, key, value: QPoly) -> None:
@@ -209,27 +290,20 @@ class SymFunc:
 
     # -- basis changes ---------------------------------------------------
 
-    def to_powersum(self) -> "SymFunc":
-        if self.basis == POWERSUM:
+    def _convert(self, target: str) -> "SymFunc":
+        if self.basis == target:
             return self
-        out: dict[tuple[int, ...], QPoly] = {}
-        for lam, c in self.terms.items():
-            for mu, frac in _schur_to_p_row(lam).items():
-                _acc(out, mu, c * frac)
+        out = change_basis({(lam,): c for lam, c in self.terms.items()}, target, (self.degree,))
         res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = POWERSUM, self.degree, out
+        res.basis, res.degree = target, self.degree
+        res.terms = {key[0]: c for key, c in out.items()}
         return res
 
+    def to_powersum(self) -> "SymFunc":
+        return self._convert(POWERSUM)
+
     def to_schur(self) -> "SymFunc":
-        if self.basis == SCHUR:
-            return self
-        out: dict[tuple[int, ...], QPoly] = {}
-        for mu, c in self.terms.items():
-            for lam, chi in _p_to_schur_row(mu).items():
-                _acc(out, lam, c * chi)
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = SCHUR, self.degree, out
-        return res
+        return self._convert(SCHUR)
 
     # -- the three extra operations --------------------------------------
 
@@ -253,29 +327,11 @@ class SymFunc:
         Indices of the inner operand are stretched along with its q-powers
         (p_a o q^k p_mu = q^(ak) p_(a mu)); outer q-coefficients are inert.
         """
-        f, g = self.to_powersum(), inner.to_powersum()
-        out_degree = f.degree * g.degree
-        out: dict[tuple[int, ...], QPoly] = {}
-        power_cache: dict[int, dict] = {}
-        for lam, c in f.terms.items():
-            running = {(): QPoly(1)}
-            for a in lam:
-                pa = power_cache.get(a)
-                if pa is None:
-                    pa = {
-                        tuple(x * a for x in mu): qc.stretch(a)
-                        for mu, qc in g.terms.items()
-                    }
-                    power_cache[a] = pa
-                nxt: dict[tuple[int, ...], QPoly] = {}
-                for k1, c1 in running.items():
-                    for k2, c2 in pa.items():
-                        _acc(nxt, union(k1, k2), c1 * c2)
-                running = nxt
-            for key, qc in running.items():
-                _acc(out, key, qc * c)
+        f = self.to_powersum()
+        out = pleth_leg({(lam,): c for lam, c in f.terms.items()}, 0, inner)
         res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = POWERSUM, out_degree, out
+        res.basis, res.degree = POWERSUM, f.degree * inner.degree
+        res.terms = {key[0]: c for key, c in out.items()}
         return res
 
     def pderiv(self, lam) -> "SymFunc":

@@ -129,3 +129,40 @@ def test_restrict_then_induce_multiplicity(lam, k):
     assert f.bidegree == (k, n - k)
     back = f.induce()
     assert back.degree == n
+
+
+def _q_coeffs():
+    fractions = st.builds(
+        Fraction, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=12)
+    )
+    return st.dictionaries(st.integers(min_value=0, max_value=4), fractions, max_size=4).map(QPoly)
+
+
+@st.composite
+def _bisymfuncs(draw):
+    """Random two-leg functions that are not characters: rational and
+    negative q-coefficients, legs of degree 0 to 5, either basis."""
+    xdeg = draw(st.integers(min_value=0, max_value=5))
+    ydeg = draw(st.integers(min_value=0, max_value=5))
+    keys = st.tuples(st.sampled_from(partitions_of(xdeg)), st.sampled_from(partitions_of(ydeg)))
+    terms = draw(st.dictionaries(keys, _q_coeffs(), min_size=1, max_size=6))
+    return BiSymFunc(draw(st.sampled_from((POWERSUM, SCHUR))), xdeg, ydeg, terms)
+
+
+def _to(f, basis):
+    return f.to_schur() if basis == SCHUR else f.to_powersum()
+
+
+@given(_bisymfuncs())
+def test_conversion_is_the_legwise_tensor_of_one_leg_conversions(f):
+    target = SCHUR if f.basis == POWERSUM else POWERSUM
+    expected = BiSymFunc.zero(f.xdeg, f.ydeg, target)
+    for (lx, ly), c in f.terms.items():
+        fx = _to(SymFunc(f.basis, f.xdeg, {lx: 1}), target)
+        fy = _to(SymFunc(f.basis, f.ydeg, {ly: 1}), target)
+        legwise = {(ax, ay): c * cx * cy for ax, cx in fx.terms.items() for ay, cy in fy.terms.items()}
+        expected = expected + BiSymFunc(target, f.xdeg, f.ydeg, legwise)
+    converted = _to(f, target)
+    assert converted.basis == target
+    assert converted.terms == expected.terms
+    assert _to(converted, f.basis).terms == f.terms

@@ -2,6 +2,7 @@
 characters, the blow-up corrections, and the disk cache."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -217,12 +218,38 @@ def test_cache_rejects_tampered_coefficients(tmp_path):
     calc = CharacterCalculator(cache_dir=tmp_path)
     calc.character(5)
     path = tmp_path / "E_5_0_2.json"
-    payload = json.loads(path.read_text())
-    payload["terms"][0]["coeff"]["0"] = "-1"
-    path.write_text(json.dumps(payload))
-    fresh = CharacterCalculator(cache_dir=tmp_path)
-    with pytest.raises(CacheError, match="verification"):
-        fresh.character(5)
+    original = path.read_text()
+    for bad in ("-1", "1/2"):
+        payload = json.loads(original)
+        payload["terms"][0]["coeff"]["0"] = bad
+        path.write_text(json.dumps(payload))
+        fresh = CharacterCalculator(cache_dir=tmp_path)
+        with pytest.raises(CacheError, match="verification"):
+            fresh.character(5)
+
+
+def test_cache_write_interrupted_partway(tmp_path, monkeypatch):
+    """A write that dies halfway leaves no cache file for its key."""
+    reference = tmp_path / "reference"
+    CharacterCalculator(cache_dir=reference).character(5)
+    expected = {p.name: p.read_bytes() for p in reference.glob("E_*.json")}
+
+    cache = tmp_path / "cache"
+    real_write_text = Path.write_text
+
+    def crash(path, text, *args, **kwargs):
+        real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", crash)
+    with pytest.raises(OSError, match="disk full"):
+        CharacterCalculator(cache_dir=cache).character(5)
+    monkeypatch.undo()
+    assert list(cache.iterdir()) == []
+
+    CharacterCalculator(cache_dir=cache).character(5)
+    assert {p.name: p.read_bytes() for p in cache.glob("E_*.json")} == expected
+    assert sorted(p.name for p in cache.iterdir()) == sorted(expected)
 
 
 def test_invalid_arguments():

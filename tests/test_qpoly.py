@@ -85,6 +85,13 @@ def test_divexact_roundtrip(a, b):
     assert (a * b).divexact(b) == a
 
 
+@given(qpolys(), qpolys(), st.integers(min_value=-50, max_value=50))
+def test_unpack_inverts_integer_combinations_of_packed_values(a, b, m):
+    # 12 clears the denominators up to 4; |coefficients| stay below 2^15
+    x = m * a.pack(12, 16) + b.pack(12, 16)
+    assert QPoly.unpack(x, 16, 12) == m * a + b
+
+
 def test_evaluate():
     p = QPoly({3: 1, 2: 16, 1: 16, 0: 1})
     assert p.evaluate(1) == 34
