@@ -122,7 +122,8 @@ def cmd_cache(args) -> int:
         raise ValueError("no cache directory: pass --cache or set EQUICHAR_CACHE")
     files = sorted(directory.glob("E_*.json")) if directory.is_dir() else []
     if args.clear:
-        for path in files:
+        # A writer killed before its rename leaves its temporary file behind.
+        for path in files + sorted(directory.glob(".E_*.json.*.tmp")):
             path.unlink()
         print(f"removed {len(files)} cache files from {directory}")
     else:

@@ -4,14 +4,17 @@ of pointed rational curves, by the blow-up recursion.
 The spaces carry n marked points split into k heavy points (weight 1) and
 n-k light points (weight 1/l); their rational cohomology is a bigraded
 character E(n, k, l) of S_k x S_(n-k) with polynomial q-grading.  Walking l
-between its extremes connects every E(n, k, l) to one of three explicit
-bases:
+between its extremes connects every E(n, k, l) to one of two bases:
 
 * the GIT quotient at the stable end for k = 0 (an exact division of a
   product generating polynomial by q^3 - q),
-* a projective space for k = 1 at the stable end,
 * the full moduli space itself at l <= 2, reached by restriction from the
   k = 0 character.
+
+Keys with k >= 1 walk up from l <= 2, subtracting corrections.
+`projective_space_character`, the closed form at the stable end for k = 1
+(a projective space of dimension n-3), is not a base of the recursion; the
+tests use it to check the recursion's value there.
 
 Each blow-up step along the way adds correction terms assembled from a
 smaller space, a Kronecker projection of the exceptional-fiber character,

@@ -1,14 +1,19 @@
-"""Independent cross-checks for the symmetric-function kernel.
+"""Independent cross-checks for the symmetric-function kernel and the recursion.
 
 Two deliberately different computation paths live here: expansion into an
 honest polynomial in finitely many variables (faithful once the variable
 count reaches the degree), and the Jacobi-Trudi determinant fed by Newton's
 identities.  Neither shares code with the Murnaghan-Nakayama kernel.
+
+Two integer formulas check the recursion's Betti numbers at sizes the golden
+table does not reach: Keel's recursion for the full space, and the Eulerian
+numbers for the Losev-Manin chamber E(n, 2, n-2).
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from math import comb
 
 from .partitions import check_partition
 from .qpoly import QPoly
@@ -209,3 +214,45 @@ def jacobi_trudi_to_powersum(lam) -> SymFunc:
                 else:
                     acc.pop(mu, None)
     return SymFunc(POWERSUM, n, {mu: QPoly(c) for mu, c in acc.items()})
+
+
+@cache
+def keel_betti(n: int) -> tuple[int, ...]:
+    """Betti numbers of the space of stable n-pointed rational curves, by
+    Keel's recursion (Keel 1992, Trans. AMS 330):
+
+        P_3 = 1,
+        P_(m+1) = (1 + q) P_m + (q/2) sum_(i=2..m-2) C(m, i) P_(i+1) P_(m-i+1).
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if n == 3:
+        return (1,)
+    m = n - 1
+    prev = keel_betti(m)
+    out = [0] * (n - 2)
+    for j, b in enumerate(prev):
+        out[j] += b
+        out[j + 1] += b
+    twice = [0] * (n - 4)
+    for i in range(2, m - 1):
+        left, right = keel_betti(i + 1), keel_betti(m - i + 1)
+        for a, x in enumerate(left):
+            for b, y in enumerate(right):
+                twice[a + b] += comb(m, i) * x * y
+    # the sum is even: its terms pair up under i <-> m-i, and C(m, m/2) is even
+    for j, t in enumerate(twice):
+        out[j + 1] += t // 2
+    return tuple(out)
+
+
+def eulerian_numbers(m: int) -> tuple[int, ...]:
+    """A(m, j) for j = 0..m-1, the permutations of m letters with j descents:
+    A(m, j) = sum_(i=0..j) (-1)^i C(m+1, i) (j+1-i)^m.  They are the Betti
+    numbers of the Losev-Manin space on m light points (Losev-Manin 2000)."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return tuple(
+        sum((-1) ** i * comb(m + 1, i) * (j + 1 - i) ** m for i in range(j + 1))
+        for j in range(m)
+    )

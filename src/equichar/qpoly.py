@@ -1,6 +1,20 @@
-"""Sparse polynomials in the grading variable q with exact rational coefficients."""
+"""Sparse polynomials in the grading variable q with exact rational coefficients.
+
+A `QPoly` is stored as integer numerators over one common denominator: a dict
+from exponent to nonzero int, plus one positive int `_d`, always in lowest
+terms (gcd of `_d` and every numerator is 1; the zero polynomial has `_d` 1).
+The form is canonical, so equality and hashing compare the stored fields.
+Products, sums and exact division run on the integer numerators and end in
+one gcd normalisation; no `Fraction` arithmetic happens in them.  One
+denominator per polynomial suffices for characters: in a power-sum term p_mu
+every q-coefficient has a denominator dividing z_mu.
+
+The public readers (`coeff`, `items`, `evaluate`, JSON) give reduced
+`Fraction` values; text and LaTeX are written by `render`.
+"""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ExactDivisionError(ArithmeticError):
@@ -15,28 +29,44 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s)
 
 
-class QPoly:
-    """Polynomial in q over the rationals, stored exponent -> coefficient."""
+def _make(c: dict, d: int) -> "QPoly":
+    """The QPoly c / d for int numerators c (no zeros) and d > 0, reduced."""
+    if not c:
+        d = 1
+    elif d != 1:
+        g = gcd(d, *c.values())
+        if g != 1:
+            d //= g
+            c = {k: v // g for k, v in c.items()}
+    res = QPoly.__new__(QPoly)
+    res._c = c
+    res._d = d
+    return res
 
-    __slots__ = ("_c",)
+
+class QPoly:
+    """Polynomial in q over the rationals: integer numerators over one denominator."""
+
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs=0):
         if isinstance(coeffs, QPoly):
-            self._c = dict(coeffs._c)
+            self._c, self._d = dict(coeffs._c), coeffs._d
             return
         if isinstance(coeffs, (int, Fraction)):
-            c = Fraction(coeffs)
-            self._c = {0: c} if c else {}
-            return
-        out = {}
+            coeffs = {0: coeffs}
+        fracs = {}
         for k, v in coeffs.items():
             k = int(k)
             if k < 0:
                 raise ValueError("negative q-exponents are not supported")
             v = Fraction(v)
             if v:
-                out[k] = v
-        self._c = out
+                fracs[k] = v
+        # The lcm of reduced denominators leaves the numerators coprime to it.
+        d = lcm(*(v.denominator for v in fracs.values()))
+        self._c = {k: v.numerator * (d // v.denominator) for k, v in fracs.items()}
+        self._d = d
 
     @classmethod
     def q(cls, exponent: int = 1, coeff=1) -> "QPoly":
@@ -48,11 +78,12 @@ class QPoly:
         return cls({i: 1 for i in range(count)})
 
     def coeff(self, k: int) -> Fraction:
-        return self._c.get(k, Fraction(0))
+        return Fraction(self._c.get(k, 0), self._d)
 
     def items(self):
         """Pairs (exponent, coefficient) in increasing exponent order."""
-        return sorted(self._c.items())
+        d = self._d
+        return [(k, Fraction(v, d)) for k, v in sorted(self._c.items())]
 
     def is_zero(self) -> bool:
         return not self._c
@@ -70,33 +101,38 @@ class QPoly:
             other = QPoly(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self._d, frozenset(self._c.items())))
 
     def __add__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            other = QPoly(other)
         if not isinstance(other, QPoly):
-            return NotImplemented
-        out = dict(self._c)
-        for k, v in other._c.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QPoly(other)
+        d = self._d
+        if d == other._d:
+            out = dict(self._c)
+            terms = other._c.items()
+        else:
+            d = lcm(d, other._d)
+            s = d // self._d
+            out = {k: v * s for k, v in self._c.items()}
+            s = d // other._d
+            terms = [(k, v * s) for k, v in other._c.items()]
+        for k, v in terms:
+            v += out.get(k, 0)
+            if v:
+                out[k] = v
             else:
-                out.pop(k, None)
-        res = QPoly.__new__(QPoly)
-        res._c = out
-        return res
+                del out[k]
+        return _make(out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        res = QPoly.__new__(QPoly)
-        res._c = {k: -v for k, v in self._c.items()}
-        return res
+        return _make({k: -v for k, v in self._c.items()}, self._d)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -109,27 +145,23 @@ class QPoly:
         return QPoly(other) - self
 
     def __mul__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return QPoly(0)
-            res = QPoly.__new__(QPoly)
-            res._c = {k: v * c for k, v in self._c.items()}
-            return res
         if not isinstance(other, QPoly):
-            return NotImplemented
-        out: dict[int, Fraction] = {}
+            if isinstance(other, int):
+                if not other:
+                    return QPoly(0)
+                return _make({k: v * other for k, v in self._c.items()}, self._d)
+            if not isinstance(other, Fraction):
+                return NotImplemented
+            other = QPoly(other)
+        out: dict[int, int] = {}
+        get = out.get
         for k1, v1 in self._c.items():
             for k2, v2 in other._c.items():
                 k = k1 + k2
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        res = QPoly.__new__(QPoly)
-        res._c = out
-        return res
+                out[k] = get(k, 0) + v1 * v2
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        return _make(out, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -137,109 +169,96 @@ class QPoly:
         """Substitute q -> q^factor."""
         if factor < 1:
             raise ValueError("stretch factor must be positive")
-        res = QPoly.__new__(QPoly)
-        res._c = {k * factor: v for k, v in self._c.items()}
-        return res
+        return _make({k * factor: v for k, v in self._c.items()}, self._d)
 
     def reflect(self, top: int) -> "QPoly":
         """q^top * p(1/q); requires degree <= top."""
         if self.degree > top:
             raise ValueError("cannot reflect past the polynomial degree")
-        res = QPoly.__new__(QPoly)
-        res._c = {top - k: v for k, v in self._c.items()}
-        return res
+        return _make({top - k: v for k, v in self._c.items()}, self._d)
 
     def divexact(self, divisor: "QPoly") -> "QPoly":
-        """Exact quotient by divisor; raises ExactDivisionError on remainder."""
+        """Exact quotient by divisor; raises ExactDivisionError on remainder.
+
+        Integer pseudo-division: with lead the divisor's leading numerator and
+        e = deg self - deg divisor + 1, lead^e times our numerators divide by
+        the divisor's numerators with integer steps.
+        """
         if not isinstance(divisor, QPoly):
             divisor = QPoly(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = dict(self._c)
         dd = divisor.degree
         lead = divisor._c[dd]
-        quot: dict[int, Fraction] = {}
+        scale = lead ** max(self.degree - dd + 1, 0)
+        rem = {k: v * scale for k, v in self._c.items()}
+        quot: dict[int, int] = {}
         while rem:
             rd = max(rem)
             if rd < dd:
                 raise ExactDivisionError(f"remainder of degree {rd} survives division")
-            f = rem[rd] / lead
+            f = rem[rd] // lead  # exact: pseudo-division keeps every step integral
             e = rd - dd
             quot[e] = f
             for k, v in divisor._c.items():
                 nk = k + e
-                s = rem.get(nk, Fraction(0)) - f * v
+                s = rem.get(nk, 0) - f * v
                 if s:
                     rem[nk] = s
                 else:
                     rem.pop(nk, None)
-        return QPoly(quot)
+        # self / divisor = quot * divisor._d / (scale * self._d)
+        m = divisor._d if scale > 0 else -divisor._d
+        return _make({k: v * m for k, v in quot.items()}, abs(scale) * self._d)
 
     def pack(self, scale: int, bits: int) -> int:
         """The integer scale * p(2^bits), one base-2^bits digit per coefficient.
 
-        `scale` must clear every denominator.  `unpack` recovers the
+        `scale` must be a multiple of the denominator.  `unpack` recovers the
         polynomial from any integer combination of packed values whose
         coefficients stay below 2^(bits-1) in absolute value.
         """
-        return sum(v.numerator * (scale // v.denominator) << (bits * k) for k, v in self._c.items())
+        m = scale // self._d
+        return sum(v * m << (bits * k) for k, v in self._c.items())
 
     @classmethod
     def unpack(cls, x: int, bits: int, divisor: int) -> "QPoly":
         """The polynomial whose coefficients are the balanced base-2^bits
         digits of x, each divided by `divisor`."""
         base = 1 << bits
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         k = 0
         while x:
             d = x & (base - 1)
             if d >= base >> 1:
                 d -= base
             if d:
-                out[k] = Fraction(d, divisor)
+                out[k] = d
             x = (x - d) >> bits
             k += 1
-        res = cls.__new__(cls)
-        res._c = out
-        return res
+        return _make(out, divisor)
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
-        return sum((v * x**k for k, v in self._c.items()), Fraction(0))
+        return sum((v * x**k for k, v in self._c.items()), Fraction(0)) / self._d
 
     def is_effective(self) -> bool:
         """True when every coefficient is a non-negative integer."""
-        return all(v.denominator == 1 and v >= 0 for v in self._c.values())
+        return self._d == 1 and all(v > 0 for v in self._c.values())
 
     def to_json_dict(self) -> dict[str, str]:
-        return {str(k): rat_str(v) for k, v in sorted(self._c.items())}
+        if self._d == 1:
+            return {str(k): str(v) for k, v in sorted(self._c.items())}
+        return {str(k): rat_str(v) for k, v in self.items()}
 
     @classmethod
     def from_json_dict(cls, data) -> "QPoly":
         return cls({int(k): parse_rat(v) for k, v in data.items()})
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        pieces = []
-        for k, v in sorted(self._c.items(), reverse=True):
-            if k == 0:
-                body = rat_str(v)
-            else:
-                var = "q" if k == 1 else f"q^{k}"
-                if v == 1:
-                    body = var
-                elif v == -1:
-                    body = f"-{var}"
-                elif v.denominator == 1:
-                    body = f"{v.numerator}{var}"
-                else:
-                    body = f"({rat_str(v)}){var}"
-            pieces.append(body)
-        text = pieces[0]
-        for piece in pieces[1:]:
-            text += piece if piece.startswith("-") else "+" + piece
-        return text
+        from .render import qpoly_text
+
+        return qpoly_text(self)
 
     def __repr__(self) -> str:
         return f"QPoly({self})"

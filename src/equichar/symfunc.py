@@ -101,24 +101,24 @@ def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
     """Rewrite {legs: QPoly} in the `target` basis, one leg at a time.
 
     Keys are tuples holding one partition per leg, of the sizes in `degrees`.
-    The coefficients are scaled to integers by the lcm of their denominators
-    and packed into one integer each by substituting q = 2^bits.  Each leg is
-    then one integer product with its row table; the Schur -> power-sum rows
-    carry the class sizes n!/z_mu, so the only division, by the scale and by
-    the product of the leg factorials, comes at the end, and a remainder there
-    leaves a Fraction coefficient.
+    The integer numerators are brought over the lcm of the QPoly denominators
+    and packed into one integer per QPoly by substituting q = 2^bits.  Each
+    leg is then one integer product with its row table; the Schur ->
+    power-sum rows carry the class sizes n!/z_mu, so the only division, by
+    the scale and by the product of the leg factorials, comes at the end, and
+    a remainder there leaves a non-integer coefficient.
     """
     row = _schur_row if target == SCHUR else _powersum_row
     divisor = 1 if target == SCHUR else prod(factorial(d) for d in degrees)
-    coeffs = [v for c in terms.values() for _, v in c.items()]
-    if not coeffs:
+    polys = [c for c in terms.values() if c]
+    if not polys:
         return {}
-    scale = lcm(*(v.denominator for v in coeffs))
+    scale = lcm(*(c._d for c in polys))
     divisor *= scale
-    height = max(abs(v.numerator) * (scale // v.denominator) for v in coeffs)
+    height = max(max(map(abs, c._c.values())) * (scale // c._d) for c in polys)
     # |chi^lam(mu)| and n!/z_mu are at most n!, so every output coefficient is
     # below `bound` in absolute value and its base-2^bits digit cannot carry.
-    bound = len(coeffs) * height * prod(factorial(d) ** 2 for d in degrees)
+    bound = sum(len(c._c) for c in polys) * height * prod(factorial(d) ** 2 for d in degrees)
     bits = bound.bit_length() + 1
     packed = {key: c.pack(scale, bits) for key, c in terms.items()}
     for leg, degree in enumerate(degrees):

@@ -16,7 +16,13 @@ from .symfunc import SCHUR, SymFunc, schur
 from .bigraded import BiSymFunc
 from .lengths import leading_partition, length_theorem_report, plethysm_leading_partition
 from .moduli import CharacterCalculator
-from .oracles import expand, jacobi_trudi_to_powersum, oracle_plethysm
+from .oracles import (
+    eulerian_numbers,
+    expand,
+    jacobi_trudi_to_powersum,
+    keel_betti,
+    oracle_plethysm,
+)
 
 SUITES = ("paper-examples", "duality", "oracles", "length-theorem")
 
@@ -163,12 +169,36 @@ def _random_schur_positive(rng: random.Random, max_degree: int) -> SymFunc:
     return SymFunc(SCHUR, degree, terms)
 
 
-def run_oracles(calc=None, n_max: int = 0, seed: int = 20250815) -> SuiteResult:
+def _betti(poly: QPoly) -> tuple:
+    return tuple(poly.coeff(i) for i in range(poly.degree + 1))
+
+
+def run_oracles(
+    calc: CharacterCalculator | None = None, n_max: int = 12, seed: int = 20250815
+) -> SuiteResult:
     """Kernel against the independent paths: Jacobi-Trudi conversions up to
     degree 8, plethysm against monomial substitution, products against
-    expanded polynomial multiplication."""
+    expanded polynomial multiplication; and the recursion's Betti numbers
+    for n <= n_max against Keel's recursion (full space) and the Eulerian
+    numbers (Losev-Manin chamber E(n, 2, n-2))."""
+    calc = calc or CharacterCalculator()
     rng = random.Random(seed)
     result = SuiteResult("oracles")
+
+    bad = [n for n in range(3, n_max + 1) if _betti(calc.poincare_polynomial(n)) != keel_betti(n)]
+    result.checks.append(
+        Check(f"betti numbers of E(n,0,1) vs keel's recursion n<={n_max}", not bad,
+              f"n={bad}" if bad else "")
+    )
+    bad = [
+        n
+        for n in range(3, n_max + 1)
+        if _betti(calc.character(n, 2, n - 2).dimension_poly()) != eulerian_numbers(n - 2)
+    ]
+    result.checks.append(
+        Check(f"betti numbers of E(n,2,n-2) vs eulerian numbers n<={n_max}", not bad,
+              f"n={bad}" if bad else "")
+    )
 
     bad = []
     for n in range(0, 9):
@@ -249,7 +279,7 @@ def run_suite(name: str, calc: CharacterCalculator | None = None, n_max: int | N
     if name == "duality":
         return run_duality(calc, n_max if n_max is not None else 10)
     if name == "oracles":
-        return run_oracles()
+        return run_oracles(calc, n_max if n_max is not None else 12)
     if name == "length-theorem":
         return run_length_theorem(calc, n_max if n_max is not None else 8)
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -82,9 +82,12 @@ def test_criterion_5_oracle_equivalence(oracle_result):
         "jacobi-trudi vs murnaghan-nakayama |lam|<=8",
         "plethysm vs monomial substitution",
         "product vs expanded multiplication (100 random pairs)",
+        "betti numbers of E(n,0,1) vs keel's recursion n<=12",
+        "betti numbers of E(n,2,n-2) vs eulerian numbers n<=12",
     ):
         assert by_name[name].ok, f"{name}: {by_name[name].detail}"
-    print("PASS criterion 5: kernel agrees with Jacobi-Trudi, substitution, and expansion oracles")
+    print("PASS criterion 5: kernel agrees with Jacobi-Trudi, substitution, and expansion "
+          "oracles; Betti numbers agree with Keel and Eulerian for n <= 12")
 
 
 def test_criterion_6_leading_partition_properties(oracle_result):

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from equichar.oracles import (
     MonomialPoly,
+    eulerian_numbers,
     expand,
     jacobi_trudi_to_powersum,
+    keel_betti,
     oracle_plethysm,
 )
 from equichar.partitions import partitions_of
@@ -106,3 +108,13 @@ def test_monomial_poly_algebra():
     assert (a + b).terms[(0, 0, 0)] == Fraction(2)
     assert (a * b).terms[(1, 0, 0)] == Fraction(2)
     assert a.scale(Fraction(0)).is_zero()
+
+
+def test_keel_and_eulerian_small_values():
+    assert keel_betti(6) == (1, 16, 16, 1)
+    assert keel_betti(8) == (1, 99, 715, 715, 99, 1)
+    assert eulerian_numbers(4) == (1, 11, 11, 1)
+    assert sum(eulerian_numbers(7)) == 5040
+    with pytest.raises(ValueError):
+        keel_betti(2)
+

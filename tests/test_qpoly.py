@@ -78,6 +78,31 @@ def test_divexact():
         QPoly(1).divexact(QPoly())
 
 
+def test_divexact_non_monic_and_rational_divisors():
+    # non-monic integer divisor -2q^2 + 3: the quotient has halves and thirds
+    divisor = QPoly({2: -2, 0: 3})
+    for quotient in (QPoly({3: Fraction(1, 2), 1: -7, 0: Fraction(2, 3)}), QPoly({2: 5, 0: -1})):
+        assert (quotient * divisor).divexact(divisor) == quotient
+    # q^3 = (-2q^2 + 3)(-q/2) + (3/2)q leaves a remainder over the rationals
+    with pytest.raises(ExactDivisionError):
+        QPoly({3: 1}).divexact(divisor)
+    # rational divisor (3/4)q - 1/6, and a rational constant
+    divisor = QPoly({1: Fraction(3, 4), 0: Fraction(-1, 6)})
+    quotient = QPoly({2: 4, 0: -5})
+    assert (quotient * divisor).divexact(divisor) == quotient
+    assert quotient.divexact(Fraction(-2, 3)) == QPoly({2: -6, 0: Fraction(15, 2)})
+    with pytest.raises(ExactDivisionError):
+        QPoly({2: 1, 0: 1}).divexact(divisor)
+
+
+@given(qpolys(), qpolys(), qpolys())
+def test_form_is_canonical(a, b, c):
+    p = a * b + c
+    rebuilt = QPoly(dict(p.items()))
+    assert p == rebuilt
+    assert hash(p) == hash(rebuilt)
+
+
 @given(qpolys(), qpolys())
 def test_divexact_roundtrip(a, b):
     if b.is_zero():
@@ -103,6 +128,10 @@ def test_effectivity():
     assert QPoly({2: 3, 0: 1}).is_effective()
     assert not QPoly({1: -1}).is_effective()
     assert not QPoly({1: Fraction(1, 2)}).is_effective()
+    # two half-integer polynomials whose sum is integral
+    half = QPoly({0: Fraction(1, 2), 2: Fraction(3, 2)}) + QPoly({0: Fraction(1, 2), 2: Fraction(1, 2)})
+    assert half.is_effective()
+    assert half == QPoly({0: 1, 2: 2})
 
 
 def test_rat_round_trip():

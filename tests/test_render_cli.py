@@ -121,8 +121,11 @@ def test_cli_cache_flow(tmp_path, capsys):
     assert capsys.readouterr().out == first
     assert main(["cache", "--cache", cache]) == 0
     assert "cache files:" in capsys.readouterr().out
+    # the temporary file of a writer killed before its rename
+    (tmp_path / "store" / ".E_6_0_2.json.1-1.tmp").write_text("{")
     assert main(["cache", "--cache", cache, "--clear"]) == 0
     capsys.readouterr()
+    assert not any((tmp_path / "store").iterdir())
     assert main(["cache", "--cache", cache]) == 0
     assert "cache files: 0" in capsys.readouterr().out
 
