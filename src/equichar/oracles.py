@@ -3,45 +3,85 @@
 Two deliberately different computation paths live here: expansion into an
 honest polynomial in finitely many variables (faithful once the variable
 count reaches the degree), and the Jacobi-Trudi determinant fed by Newton's
-identities.  Neither shares code with the Murnaghan-Nakayama kernel.
+identities.  Neither shares code with the Murnaghan-Nakayama kernel,
+`QPoly.pack` or `change_basis`: the exact integer arithmetic below is the
+oracles' own.
+
+A `MonomialPoly` packs each exponent vector into one int (Kronecker
+substitution: variable i owns the bits from i * 16 up), so multiplying two
+monomials is one integer addition and raising a monomial to the a-th power
+is a multiplication of its key by a.  Its coefficients are int numerators
+over one positive denominator, in lowest terms.  The constructor rejects an
+exponent that does not fit a slot, and a product checks that the two total
+degrees do, so an exponent never carries into the next variable.  The
+Jacobi-Trudi determinant is expanded row by row over integer numerators on
+the common denominator n!.
 
 Two integer formulas check the recursion's Betti numbers at sizes the golden
 table does not reach: Keel's recursion for the full space, and the Eulerian
 numbers for the Losev-Manin chamber E(n, 2, n-2).
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
-from math import comb
+from math import comb, factorial, gcd, lcm, perm
+from types import MappingProxyType
 
 from .partitions import check_partition
 from .qpoly import QPoly
 from .symfunc import POWERSUM, SymFunc
 
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+
+
+def _make(nvars: int, c: dict, d: int, deg: int) -> "MonomialPoly":
+    """The MonomialPoly c / d for packed keys with int numerators c (no zeros)
+    and d > 0, reduced; deg bounds the total degree of every monomial."""
+    if not c:
+        d, deg = 1, 0
+    elif d != 1:
+        g = gcd(d, *c.values())
+        if g != 1:
+            d //= g
+            c = {k: v // g for k, v in c.items()}
+    res = MonomialPoly.__new__(MonomialPoly)
+    res.nvars, res.deg, res._c, res._d = nvars, deg, c, d
+    return res
+
 
 class MonomialPoly:
-    """Polynomial in a fixed number of variables, exponent vector -> rational."""
+    """Polynomial in a fixed number of variables with rational coefficients:
+    packed exponent key -> int numerator, over one positive denominator."""
 
-    __slots__ = ("nvars", "terms")
+    MAX_EXPONENT = _MASK
+    __slots__ = ("nvars", "deg", "_c", "_d")
 
     def __init__(self, nvars: int, terms=()):
         self.nvars = int(nvars)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
+        fracs: dict[int, Fraction] = {}
+        deg = 0
+        items = terms.items() if isinstance(terms, Mapping) else terms
         for vec, c in items:
             vec = tuple(vec)
             if len(vec) != self.nvars:
                 raise ValueError("exponent vector length must equal nvars")
+            key = 0
+            for i, e in enumerate(vec):
+                if not 0 <= e <= _MASK:
+                    raise ValueError(f"exponent {e} is outside 0..{_MASK}")
+                key |= e << (i * _BITS)
             c = Fraction(c)
-            if not c:
-                continue
-            s = clean.get(vec, Fraction(0)) + c
-            if s:
-                clean[vec] = s
-            else:
-                clean.pop(vec, None)
-        self.terms = clean
+            if c:
+                fracs[key] = fracs.get(key, 0) + c
+                deg = max(deg, sum(vec))
+        fracs = {k: v for k, v in fracs.items() if v}
+        # The lcm of reduced denominators leaves the numerators coprime to it.
+        d = lcm(*(v.denominator for v in fracs.values()))
+        self._c = {k: v.numerator * (d // v.denominator) for k, v in fracs.items()}
+        self._d = d
+        self.deg = deg if fracs else 0
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MonomialPoly":
@@ -56,59 +96,91 @@ class MonomialPoly:
             out[tuple(vec)] = 1
         return cls(nvars, out)
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only view: exponent vector -> Fraction coefficient."""
+        shifts = range(0, self.nvars * _BITS, _BITS)
+        return MappingProxyType({
+            tuple((k >> s) & _MASK for s in shifts): Fraction(v, self._d)
+            for k, v in self._c.items()
+        })
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._c
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._d == other._d and self._c == other._c
 
     def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
-        out = dict(self.terms)
-        for vec, c in other.terms.items():
-            s = out.get(vec, Fraction(0)) + c
+        d = lcm(self._d, other._d)
+        s1, s2 = d // self._d, d // other._d
+        out = {k: v * s1 for k, v in self._c.items()}
+        for k, v in other._c.items():
+            s = out.get(k, 0) + v * s2
             if s:
-                out[vec] = s
+                out[k] = s
             else:
-                out.pop(vec, None)
-        res = MonomialPoly.__new__(MonomialPoly)
-        res.nvars, res.terms = self.nvars, out
-        return res
+                del out[k]
+        return _make(self.nvars, out, d, max(self.deg, other.deg))
 
     def scale(self, c) -> "MonomialPoly":
         c = Fraction(c)
-        res = MonomialPoly.__new__(MonomialPoly)
-        res.nvars = self.nvars
-        res.terms = {vec: v * c for vec, v in self.terms.items()} if c else {}
-        return res
+        out = {k: v * c.numerator for k, v in self._c.items()} if c else {}
+        return _make(self.nvars, out, self._d * c.denominator, self.deg)
 
     def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for v1, c1 in self.terms.items():
-            for v2, c2 in other.terms.items():
-                vec = tuple(a + b for a, b in zip(v1, v2))
-                s = out.get(vec, Fraction(0)) + c1 * c2
-                if s:
-                    out[vec] = s
-                else:
-                    out.pop(vec, None)
-        res = MonomialPoly.__new__(MonomialPoly)
-        res.nvars, res.terms = self.nvars, out
-        return res
+        deg = self.deg + other.deg
+        if deg > _MASK:
+            raise ValueError(f"total degree {deg} does not fit an exponent slot")
+        out: dict[int, int] = {}
+        get = out.get
+        right = other._c.items()
+        for k1, c1 in self._c.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return _make(self.nvars, {k: v for k, v in out.items() if v}, self._d * other._d, deg)
+
+    def adams(self, a: int) -> "MonomialPoly":
+        """Substitute x_i -> x_i^a.  On the expansion of a monomial-positive g,
+        read as an alphabet of monomials, this is p_a of that alphabet."""
+        deg = self.deg * a
+        if deg > _MASK:
+            raise ValueError(f"total degree {deg} does not fit an exponent slot")
+        return _make(self.nvars, {k * a: v for k, v in self._c.items()}, self._d, deg)
 
     def __repr__(self) -> str:
-        return f"MonomialPoly(nvars={self.nvars}, {len(self.terms)} terms)"
+        return f"MonomialPoly(nvars={self.nvars}, {len(self._c)} terms)"
 
 
 def _constant_coeff(c: QPoly) -> Fraction:
     if c.degree > 0:
         raise ValueError("monomial expansion is defined for q-free input only")
     return c.coeff(0)
+
+
+def _powersum_sum(fp: SymFunc, nvars: int, product) -> MonomialPoly:
+    """The sum of c * product(lam) over the terms c p_lam of fp.  Every
+    product(lam) has integer coefficients, so the lcm of the c's
+    denominators is a common denominator for the whole sum."""
+    coeffs = {lam: _constant_coeff(c) for lam, c in fp.terms.items()}
+    d = lcm(*(c.denominator for c in coeffs.values()))
+    out: dict[int, int] = {}
+    get = out.get
+    deg = 0
+    for lam, c in coeffs.items():
+        p = product(lam)
+        s = c.numerator * (d // c.denominator)
+        for k, v in p._c.items():
+            out[k] = get(k, 0) + s * v
+        deg = max(deg, p.deg)
+    return _make(nvars, {k: v for k, v in out.items() if v}, d, deg)
 
 
 @cache
@@ -124,10 +196,7 @@ def expand(f: SymFunc, nvars: int) -> MonomialPoly:
     fp = f.to_powersum()
     if nvars < fp.degree:
         raise ValueError(f"need at least {fp.degree} variables to stay faithful")
-    total = MonomialPoly(nvars)
-    for lam, c in fp.terms.items():
-        total = total + _power_product(nvars, lam).scale(_constant_coeff(c))
-    return total
+    return _powersum_sum(fp, nvars, lambda lam: _power_product(nvars, lam))
 
 
 def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
@@ -138,82 +207,73 @@ def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
     expand(f.pleth(g), nvars) whenever nvars >= deg(f) * deg(g).
     """
     gm = expand(g, nvars)
-    alphabet: list[tuple[int, ...]] = []
-    for vec, c in gm.terms.items():
-        if c.denominator != 1 or c < 0:
-            raise ValueError("the inner operand must be monomial-positive")
-        alphabet.extend([vec] * int(c))
-    fp = f.to_powersum()
-    total = MonomialPoly(nvars)
-    for lam, c in fp.terms.items():
-        prod = MonomialPoly.constant(nvars, 1)
+    if gm._d != 1 or any(c < 0 for c in gm._c.values()):
+        raise ValueError("the inner operand must be monomial-positive")
+    one = MonomialPoly.constant(nvars, 1)
+    powers: dict[int, MonomialPoly] = {}
+
+    def product(lam):
+        prod = one
         for a in lam:
-            counts: dict[tuple[int, ...], int] = {}
-            for vec in alphabet:
-                key = tuple(e * a for e in vec)
-                counts[key] = counts.get(key, 0) + 1
-            prod = prod * MonomialPoly(nvars, counts)
-        total = total + prod.scale(_constant_coeff(c))
-    return total
+            if a not in powers:
+                powers[a] = gm.adams(a)
+            prod = prod * powers[a]
+        return prod
+
+    return _powersum_sum(f.to_powersum(), nvars, product)
 
 
 @cache
-def _complete_homogeneous(k: int) -> dict[tuple[int, ...], Fraction]:
-    """h_k on the power sums through Newton's identity k h_k = sum p_i h_(k-i)."""
+def _complete_homogeneous(k: int) -> dict[tuple[int, ...], int]:
+    """k! h_k on the power sums, by Newton's identity k h_k = sum p_i h_(k-i),
+    which over these integers reads k! h_k = sum (k-1)!/(k-i)! p_i (k-i)! h_(k-i)."""
     if k == 0:
-        return {(): Fraction(1)}
-    out: dict[tuple[int, ...], Fraction] = {}
+        return {(): 1}
+    out: dict[tuple[int, ...], int] = {}
     for i in range(1, k + 1):
+        f = perm(k - 1, i - 1)
         for mu, c in _complete_homogeneous(k - i).items():
             key = tuple(sorted(mu + (i,), reverse=True))
-            s = out.get(key, Fraction(0)) + c / k
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + f * c
     return out
 
 
 def jacobi_trudi_to_powersum(lam) -> SymFunc:
-    """s_lam as the determinant det(h_(lam_i - i + j)), expanded on power sums."""
+    """s_lam as the determinant det(h_(lam_i - i + j)), expanded on power sums.
+
+    The determinant is expanded row by row from the bottom up, skipping each
+    column whose entry h_m has m < 0 (a zero).  The rows above allow ever
+    more columns, so in this order every partial choice extends to a full
+    term of the determinant.  A product of m_i! h_(m_i) with sum m_i = n is
+    an integer combination of power sums, and prod m_i! divides n!, so the
+    sum is kept as integer numerators over n!.
+    """
     lam = check_partition(lam) if lam else ()
-    n = sum(lam)
-    if not lam:
-        return SymFunc(POWERSUM, 0, {(): 1})
-    ell = len(lam)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for sigma in permutations(range(ell)):
-        indices = []
-        for i in range(ell):
-            m = lam[i] - i + sigma[i]
-            if m < 0:
-                break
-            indices.append(m)
-        else:
-            sign = 1
-            for i in range(ell):
-                for j in range(i + 1, ell):
-                    if sigma[i] > sigma[j]:
-                        sign = -sign
-            prod: dict[tuple[int, ...], Fraction] = {(): Fraction(sign)}
-            for m in indices:
-                nxt: dict[tuple[int, ...], Fraction] = {}
-                for mu1, c1 in prod.items():
-                    for mu2, c2 in _complete_homogeneous(m).items():
-                        key = tuple(sorted(mu1 + mu2, reverse=True))
-                        s = nxt.get(key, Fraction(0)) + c1 * c2
-                        if s:
-                            nxt[key] = s
-                        else:
-                            nxt.pop(key, None)
-                prod = nxt
+    n, ell = sum(lam), len(lam)
+    nf = factorial(n)
+    acc: dict[tuple[int, ...], int] = {}
+
+    def rows(i: int, used: int, sign: int, den: int, prod: dict) -> None:
+        if i < 0:
+            scale = sign * (nf // den)
             for mu, c in prod.items():
-                s = acc.get(mu, Fraction(0)) + c
-                if s:
-                    acc[mu] = s
-                else:
-                    acc.pop(mu, None)
-    return SymFunc(POWERSUM, n, {mu: QPoly(c) for mu, c in acc.items()})
+                acc[mu] = acc.get(mu, 0) + scale * c
+            return
+        for j in range(max(0, i - lam[i]), ell):
+            if used >> j & 1:
+                continue
+            m = lam[i] - i + j
+            nxt: dict[tuple[int, ...], int] = {}
+            for mu1, c1 in prod.items():
+                for mu2, c2 in _complete_homogeneous(m).items():
+                    key = tuple(sorted(mu1 + mu2, reverse=True))
+                    nxt[key] = nxt.get(key, 0) + c1 * c2
+            # each used column left of j belongs to a lower row: one inversion
+            flip = (used & ((1 << j) - 1)).bit_count() & 1
+            rows(i - 1, used | 1 << j, -sign if flip else sign, den * factorial(m), nxt)
+
+    rows(ell - 1, 0, 1, 1, {(): 1})
+    return SymFunc(POWERSUM, n, {mu: QPoly(Fraction(c, nf)) for mu, c in acc.items() if c})
 
 
 @cache

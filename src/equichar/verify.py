@@ -177,10 +177,11 @@ def run_oracles(
     calc: CharacterCalculator | None = None, n_max: int = 12, seed: int = 20250815
 ) -> SuiteResult:
     """Kernel against the independent paths: Jacobi-Trudi conversions up to
-    degree 8, plethysm against monomial substitution, products against
-    expanded polynomial multiplication; and the recursion's Betti numbers
-    for n <= n_max against Keel's recursion (full space) and the Eulerian
-    numbers (Losev-Manin chamber E(n, 2, n-2))."""
+    degree 8, plethysm against monomial substitution (every s_lam o s_mu with
+    |lam|, |mu| <= 3, and every one of degree 8 with |lam|, |mu| >= 2),
+    products against expanded polynomial multiplication; and the recursion's
+    Betti numbers for n <= n_max against Keel's recursion (full space) and
+    the Eulerian numbers (Losev-Manin chamber E(n, 2, n-2))."""
     calc = calc or CharacterCalculator()
     rng = random.Random(seed)
     result = SuiteResult("oracles")
@@ -216,7 +217,13 @@ def run_oracles(
         for lam in partitions_of(a)
         for mu in partitions_of(b)
     ]
-    pairs += [((2,), (3,)), ((1, 1), (3,))]
+    # every s_lam o s_mu with |lam|, |mu| >= 2 and |lam||mu| = 8, in 8 variables
+    pairs += [
+        (lam, mu)
+        for a, b in ((2, 4), (4, 2))
+        for lam in partitions_of(a)
+        for mu in partitions_of(b)
+    ]
     bad = []
     for lam, mu in pairs:
         nvars = max(sum(lam) * sum(mu), 1)

@@ -118,3 +118,70 @@ def test_keel_and_eulerian_small_values():
     with pytest.raises(ValueError):
         keel_betti(2)
 
+
+
+# -- the packed representation ----------------------------------------------
+
+NVARS = 3
+rationals = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.sampled_from([1, 2, 3, 4, 6, 9])
+)
+monomial_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=4)] * NVARS), rationals, max_size=6
+).map(lambda terms: MonomialPoly(NVARS, terms))
+
+
+def reference_mul_add(a, b, c):
+    """a * b + c on exponent tuples and Fractions, term by term."""
+    out = dict(c.terms)
+    for v1, c1 in a.terms.items():
+        for v2, c2 in b.terms.items():
+            vec = tuple(x + y for x, y in zip(v1, v2))
+            out[vec] = out.get(vec, 0) + c1 * c2
+    return {vec: c for vec, c in out.items() if c}
+
+
+@given(monomial_polys, monomial_polys, monomial_polys)
+def test_packed_form_round_trips(a, b, c):
+    r = a * b + c
+    assert r.terms == reference_mul_add(a, b, c)
+    rebuilt = MonomialPoly(NVARS, r.terms)
+    assert rebuilt == r
+    assert rebuilt.terms == r.terms
+
+
+def test_exponent_outside_a_slot_raises():
+    top = MonomialPoly.MAX_EXPONENT
+    x = MonomialPoly(2, {(1, 0): 1})
+    for vec in ((top + 1, 0), (0, -1), (0, 2**40)):
+        with pytest.raises(ValueError):
+            MonomialPoly(2, {vec: 1})
+    with pytest.raises(ValueError):
+        MonomialPoly.power_sum(2, top + 1)
+    high = MonomialPoly(2, {(top - 1, 0): Fraction(1, 2)})
+    assert (high * x).terms == {(top, 0): Fraction(1, 2)}
+    # x^top * x would carry into the slot of the second variable
+    with pytest.raises(ValueError):
+        high * x * x
+    # the check is on total degree, not on one exponent
+    half = top // 2 + 1
+    with pytest.raises(ValueError):
+        MonomialPoly(2, {(half, 0): 1}) * MonomialPoly(2, {(0, half): 1})
+    with pytest.raises(ValueError):
+        MonomialPoly(2, {(half, 0): 1}).adams(2)
+
+
+def test_oracle_plethysm_catches_a_wrong_kernel():
+    wrong = schur((2,)).pleth(schur((2,))) + schur((4,)).to_powersum()
+    assert expand(wrong, 4) != oracle_plethysm(schur((2,)), schur((2,)), 4)
+
+
+def test_expand_rational_powersum_combination():
+    # e_3 = p_111/6 - p_21/2 + p_3/3, denominators 2 and 3
+    e3 = SymFunc(
+        POWERSUM, 3,
+        {(1, 1, 1): Fraction(1, 6), (2, 1): Fraction(-1, 2), (3,): Fraction(1, 3)},
+    )
+    m = expand(e3, 4)
+    assert m == expand(schur((1, 1, 1)), 4)
+    assert m.terms == {(0, 1, 1, 1): 1, (1, 0, 1, 1): 1, (1, 1, 0, 1): 1, (1, 1, 1, 0): 1}
