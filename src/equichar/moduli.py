@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .partitions import partitions_of
 from .qpoly import QPoly
-from .symfunc import POWERSUM, SCHUR, SymFunc, one, powersum, schur
+from .symfunc import POWERSUM, SymFunc, one, powersum, schur
 from .bigraded import BiSymFunc, restrict_full
 
 
@@ -113,10 +113,15 @@ def blowup_fiber_character(m: int, l: int) -> SymFunc:
 
 
 def _divide_out(numerator: SymFunc) -> SymFunc:
-    """Exact Schur-coefficientwise division by q^3 - q; remainder is fatal."""
-    num = numerator.to_schur()
+    """Exact division by q^3 - q of every power-sum coefficient; remainder is fatal.
+
+    The change to the Schur basis has q-free rational entries, so it commutes
+    with remainders modulo q^3 - q: the power-sum coefficients all divide
+    exactly if and only if the Schur coefficients do.
+    """
+    num = numerator.to_powersum()
     out = {lam: c.divexact(_DIVISOR) for lam, c in num.terms.items()}
-    return SymFunc(SCHUR, num.degree, out)
+    return SymFunc(POWERSUM, num.degree, out)
 
 
 def git_base_odd(n: int) -> BiSymFunc:
@@ -147,7 +152,7 @@ def git_base_even(n: int) -> BiSymFunc:
         + schur((1, 1)).pleth(s_m).scale(QPoly.q(2))
     )
     head = _divide_out(numerator)
-    tail = schur((2,)).pleth(s_m.scale(QPoly.geometric(m - 1))).to_schur()
+    tail = schur((2,)).pleth(s_m.scale(QPoly.geometric(m - 1)))
     return BiSymFunc.embed_y(head + tail)
 
 
@@ -161,9 +166,14 @@ def projective_space_character(n: int) -> BiSymFunc:
 class CharacterCalculator:
     """Memoized evaluator of the characters E(n, k, l).
 
-    Results are kept in memory in both working (power-sum) and presentation
-    (Schur) form; with a cache directory every computed key is also written
-    to one JSON file, so a later process renders byte-identical output.
+    `_schur` holds every key served so far in presentation (Schur) form;
+    `_powersum` holds the working (power-sum) form of the keys the recursion
+    has used as operands.  A computed key enters both at once.  A key loaded
+    from the cache directory enters `_schur` only and is converted to power
+    sums the first time the recursion needs it, so serving cached keys does
+    no change of basis.  With a cache directory every computed key is also
+    written to one JSON file, so a later process renders byte-identical
+    output.
     """
 
     def __init__(self, cache_dir=None):
@@ -181,9 +191,7 @@ class CharacterCalculator:
 
     def character(self, n: int, k: int = 0, l: int = 1) -> BiSymFunc:
         """The bigraded character E(n, k, l), in the Schur basis."""
-        key = self.normalized_key(n, k, l)
-        self._compute(key)
-        return self._schur[key]
+        return self._compute(self.normalized_key(n, k, l))
 
     def poincare_polynomial(self, n: int) -> QPoly:
         """Graded dimension of the cohomology of the full space on n points."""
@@ -202,14 +210,23 @@ class CharacterCalculator:
     # -- the recursion -----------------------------------------------------
 
     def _compute(self, key) -> BiSymFunc:
-        value = self._powersum.get(key)
-        if value is not None:
-            return value
-        value = self._load(key)
+        """The Schur form of E(key): from memory, else from disk, else evaluated."""
+        value = self._schur.get(key)
         if value is None:
-            value = self._evaluate(key)
-            self._store(key, value, from_disk=False)
+            value = self._load(key)
+        if value is None:
+            self._store(key, self._evaluate(key), from_disk=False)
+            value = self._schur[key]
         return value
+
+    def _operand(self, key) -> BiSymFunc:
+        """The power-sum form of E(key), converted from Schur form on first use."""
+        value = self._compute(key)
+        working = self._powersum.get(key)
+        if working is None:
+            working = value.to_powersum()
+            self._powersum[key] = working
+        return working
 
     def _evaluate(self, key) -> BiSymFunc:
         n, k, l = key
@@ -224,26 +241,26 @@ class CharacterCalculator:
             if l >= r:
                 base = git_base_odd(n) if n % 2 else git_base_even(n)
                 return base.to_powersum()
-            total = self._compute(self.normalized_key(n, 0, l + 1))
+            total = self._operand(self.normalized_key(n, 0, l + 1))
             for m in range(1, n // (l + 1) + 1):
                 assert n - l * m >= 3
                 total = total + self._correction(n, 0, m, l)
             return total
         if l <= 2:
             return restrict_full(self._full_character(n).y_symfunc(), k)
-        total = self._compute(self.normalized_key(n, k, l - 1))
+        total = self._operand(self.normalized_key(n, k, l - 1))
         for m in range(1, (n - k) // l + 1):
             assert n - (l - 1) * m >= 3
             total = total - self._correction(n, k, m, l - 1)
         return total
 
     def _full_character(self, n: int) -> BiSymFunc:
-        return self._compute(self.normalized_key(n, 0, 1))
+        return self._operand(self.normalized_key(n, 0, 1))
 
     def _correction(self, n: int, k: int, m: int, l: int) -> BiSymFunc:
         """Correction added when the weight crosses 1/(l+1): strata of m light
         points colliding, glued along a smaller space with one extra heavy point."""
-        sub = self._compute(self.normalized_key(n - l * m, k + m, l + 1))
+        sub = self._operand(self.normalized_key(n - l * m, k + m, l + 1))
         fiber = blowup_fiber_character(m, l)
         glue = schur((l + 1,))
         total = BiSymFunc.zero(k, n - k)
@@ -257,6 +274,8 @@ class CharacterCalculator:
     # -- persistence ---------------------------------------------------------
 
     def _store(self, key, value: BiSymFunc, from_disk: bool) -> None:
+        """Check that E(key) is effective and keep it; a computed value (in
+        power sums) is also kept in `_powersum` and written to the cache."""
         n, k, l = key
         in_schur = value.to_schur()
         for coeff in in_schur.terms.values():
@@ -264,9 +283,11 @@ class CharacterCalculator:
                 raise ArithmeticError(
                     f"E{key} is not effective; the recursion produced a non-character"
                 )
-        self._powersum[key] = value.to_powersum()
         self._schur[key] = in_schur
-        if self.cache_dir is not None and not from_disk:
+        if from_disk:
+            return
+        self._powersum[key] = value.to_powersum()
+        if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             payload = {"v": CACHE_SCHEMA_VERSION, "n": n, "k": k, "l": l}
             payload.update(in_schur.to_json_dict())
@@ -285,10 +306,10 @@ class CharacterCalculator:
             return None
         n, k, l = key
         path = self.cache_dir / f"E_{n}_{k}_{l}.json"
-        if not path.exists():
-            return None
         try:
             payload = json.loads(path.read_text())
+        except FileNotFoundError:
+            return None  # a miss, also when `cache --clear` removed the file just now
         except (OSError, json.JSONDecodeError) as exc:
             raise CacheError(f"unreadable cache file {path}: {exc}") from exc
         if payload.get("v") != CACHE_SCHEMA_VERSION:
@@ -308,4 +329,4 @@ class CharacterCalculator:
             self._store(key, value, from_disk=True)
         except ArithmeticError as exc:
             raise CacheError(f"cache file {path} fails verification: {exc}") from exc
-        return self._powersum[key]
+        return self._schur[key]

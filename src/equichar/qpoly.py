@@ -13,8 +13,11 @@ The public readers (`coeff`, `items`, `evaluate`, JSON) give reduced
 `Fraction` values; text and LaTeX are written by `render`.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class ExactDivisionError(ArithmeticError):
@@ -253,6 +256,14 @@ class QPoly:
 
     @classmethod
     def from_json_dict(cls, data) -> "QPoly":
+        """Parse `to_json_dict` output.  Integer strings, the only kind a
+        character's Schur coefficients take, are read with `int`; any other
+        value goes through `parse_rat`, so both accept the same input."""
+        if all(isinstance(v, str) and _INTEGER.fullmatch(v) for v in data.values()):
+            c = {int(k): int(v) for k, v in data.items()}
+            if any(k < 0 for k in c):
+                raise ValueError("negative q-exponents are not supported")
+            return _make({k: v for k, v in c.items() if v}, 1)
         return cls({int(k): parse_rat(v) for k, v in data.items()})
 
     def __str__(self) -> str:

@@ -9,8 +9,10 @@ function at a time, as an integer product with the character values
 chi^lam(mu) (power sums to Schur) or with the class sizes times character
 values, (n!/z_mu) chi^lam(mu) (Schur to power sums), on coefficients scaled
 to integers.  One exact division at the end restores the rationals.  The
-character values come from the Murnaghan-Nakayama rule; they and the
-integer rows are memoized globally.
+character values come from `character_table(n)`, one table per degree built
+by the Murnaghan-Nakayama rule on an abacus; the tables, the integer rows
+read from them and the single values of `character_value` are memoized
+globally.
 
 Plethysm twists the grading variable: p_a composed with q^k p_mu gives
 q^(a*k) p_(a*mu), while q-coefficients of the outer operand pass through
@@ -36,64 +38,90 @@ SCHUR = "schur"
 
 
 @cache
-def _border_strip_removals(lam, size):
-    """Ways to peel a border strip of `size` cells off lam.
+def _partition_index(n: int) -> dict:
+    """Position of each partition of n in `partitions_of(n)`."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
 
-    Returns tuples (smaller_partition, height).  Implemented on beta-numbers:
-    first-column hook lengths form a strictly decreasing set, and removing a
-    strip subtracts `size` from one of them without colliding with another.
+
+@cache
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The character table of S_n: entry [i][j] is chi^lam(mu) for
+    lam = partitions_of(n)[i] and mu = partitions_of(n)[j].
+
+    Column mu is the Schur expansion of p_mu = p_(mu_1) p_(mu_2, ...), built
+    by the Murnaghan-Nakayama rule on an n-bead abacus.  A partition of size
+    at most n is the bitmask of its beta-numbers lam_i + n - 1 - i (i < n,
+    lam padded with zeros); multiplying s_lam by p_a adds a border strip of a
+    cells, which moves one bead from b up to an empty b + a, with sign
+    (-1)^(beads passed).  The expansions of the suffixes (mu_2, ...) are
+    shared between columns.
     """
-    ell = len(lam)
-    beta = [lam[i] + ell - 1 - i for i in range(ell)]
-    beta_set = set(beta)
-    out = []
-    for b in beta:
-        nb = b - size
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((c for c in beta if c != b), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
-        parts = tuple(
-            c - (ell - 1 - i) for i, c in enumerate(newbeta) if c - (ell - 1 - i) > 0
-        )
-        out.append((parts, height))
-    return tuple(out)
+    parts = partitions_of(n)
+    position = {}
+    for i, lam in enumerate(parts):
+        padded = lam + (0,) * (n - len(lam))
+        position[sum(1 << (a + n - 1 - j) for j, a in enumerate(padded))] = i
+    expansions = {(): {(1 << n) - 1: 1}}
+
+    def expansion(mu):
+        out = expansions.get(mu)
+        if out is not None:
+            return out
+        a = mu[0]
+        between = (1 << (a - 1)) - 1
+        out = {}
+        for mask, c in expansion(mu[1:]).items():
+            beads = mask
+            while beads:
+                bead = beads & -beads
+                beads ^= bead
+                target = bead << a
+                if mask & target:
+                    continue
+                moved = mask ^ bead ^ target
+                passed = (mask >> bead.bit_length() & between).bit_count()
+                v = out.get(moved, 0) + (-c if passed & 1 else c)
+                if v:
+                    out[moved] = v
+                else:
+                    del out[moved]
+        expansions[mu] = out
+        return out
+
+    table = [[0] * len(parts) for _ in parts]
+    for j, mu in enumerate(parts):
+        for mask, c in expansion(mu).items():
+            table[position[mask]][j] = c
+    return tuple(map(tuple, table))
 
 
 @cache
 def character_value(lam, mu) -> int:
-    """Symmetric-group character chi^lam at cycle type mu (Murnaghan-Nakayama)."""
-    if sum(lam) != sum(mu):
+    """Symmetric-group character chi^lam at cycle type mu, read off `character_table`."""
+    n = sum(lam)
+    if n != sum(mu):
         raise ValueError("character requires |lam| == |mu|")
-    if not lam:
-        return 1
-    total = 0
-    rest = mu[1:]
-    for smaller, height in _border_strip_removals(lam, mu[0]):
-        total += -character_value(smaller, rest) if height % 2 else character_value(smaller, rest)
-    return total
+    index = _partition_index(n)
+    return character_table(n)[index[lam]][index[mu]]
 
 
 @cache
 def _schur_row(mu):
     """p_mu on the Schur basis: pairs (i, chi^lam(mu)) for lam = partitions_of(|mu|)[i]."""
-    return tuple(
-        (i, chi)
-        for i, lam in enumerate(partitions_of(sum(mu)))
-        if (chi := character_value(lam, mu))
-    )
+    n = sum(mu)
+    j = _partition_index(n)[mu]
+    return tuple((i, row[j]) for i, row in enumerate(character_table(n)) if row[j])
 
 
 @cache
 def _powersum_row(lam):
     """n! s_lam on the power sums: pairs (i, (n!/z_mu) chi^lam(mu)) for mu = partitions_of(n)[i]."""
     n = sum(lam)
+    row = character_table(n)[_partition_index(n)[lam]]
     return tuple(
         (i, factorial(n) // centralizer_order(mu) * chi)
-        for i, mu in enumerate(partitions_of(n))
-        if (chi := character_value(lam, mu))
+        for i, (mu, chi) in enumerate(zip(partitions_of(n), row))
+        if chi
     )
 
 

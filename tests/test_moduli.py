@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from equichar import bigraded, symfunc
 from equichar.bigraded import BiSymFunc
 from equichar.moduli import (
     CacheError,
@@ -18,7 +19,7 @@ from equichar.moduli import (
     projective_space_character,
 )
 from equichar.qpoly import QPoly
-from equichar.symfunc import schur
+from equichar.symfunc import POWERSUM, schur
 
 
 def test_base_level_values():
@@ -219,7 +220,7 @@ def test_cache_rejects_tampered_coefficients(tmp_path):
     calc.character(5)
     path = tmp_path / "E_5_0_2.json"
     original = path.read_text()
-    for bad in ("-1", "1/2"):
+    for bad in ("-1", "1/2", "1.5"):
         payload = json.loads(original)
         payload["terms"][0]["coeff"]["0"] = bad
         path.write_text(json.dumps(payload))
@@ -250,6 +251,80 @@ def test_cache_write_interrupted_partway(tmp_path, monkeypatch):
     CharacterCalculator(cache_dir=cache).character(5)
     assert {p.name: p.read_bytes() for p in cache.glob("E_*.json")} == expected
     assert sorted(p.name for p in cache.iterdir()) == sorted(expected)
+
+
+def test_cache_file_removed_before_read(tmp_path, monkeypatch):
+    """A file that vanishes just before it is read, as under a concurrent
+    `cache --clear`, is a miss: the key is computed and written again."""
+    CharacterCalculator(cache_dir=tmp_path).character(5)
+    expected = {p.name: p.read_bytes() for p in tmp_path.glob("E_*.json")}
+    real_read_text = Path.read_text
+
+    def clear_then_read(path, *args, **kwargs):
+        path.unlink(missing_ok=True)
+        return real_read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", clear_then_read)
+    value = CharacterCalculator(cache_dir=tmp_path).character(5)
+    monkeypatch.undo()
+    assert value == CharacterCalculator().character(5)
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("E_*.json")} == expected
+
+
+def _fill_cache(cache_dir, n_max: int) -> CharacterCalculator:
+    """Request every chamber E(n, k, l) with 3 <= n <= n_max, writing the cache."""
+    calc = CharacterCalculator(cache_dir=cache_dir)
+    for n in range(3, n_max + 1):
+        for k in range(n + 1):
+            for l in range(1, base_level(n, k) + 1):
+                calc.character(n, k, l)
+    return calc
+
+
+def test_warm_cache_does_no_change_of_basis(tmp_path, monkeypatch):
+    cold = _fill_cache(tmp_path, 8)
+    calls = []
+    real_change_basis = symfunc.change_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real_change_basis(*args, **kwargs)
+
+    monkeypatch.setattr(symfunc, "change_basis", counting)
+    monkeypatch.setattr(bigraded, "change_basis", counting)
+    keys = sorted(
+        tuple(int(a) for a in path.stem.split("_")[1:]) for path in tmp_path.glob("E_*.json")
+    )
+    warm = CharacterCalculator(cache_dir=tmp_path)
+    for key in keys:
+        value = warm.character(*key)
+        value.to_json_dict()
+        assert value == cold.character(*key)
+    assert calls == []
+    # the counter sees the conversions of a key that is not cached
+    warm.character(9)
+    assert calls
+
+
+def test_partial_cache_feeds_the_recursion(tmp_path, monkeypatch):
+    """Keys loaded in Schur form are converted when the recursion uses them."""
+    _fill_cache(tmp_path, 9)
+    keys = ((10, 0, 1), (10, 3, 4))
+    cold = CharacterCalculator()
+    expected = [cold.character(*key) for key in keys]
+    evaluated = []
+    real_evaluate = CharacterCalculator._evaluate
+
+    def recording(self, key):
+        evaluated.append(key)
+        return real_evaluate(self, key)
+
+    monkeypatch.setattr(CharacterCalculator, "_evaluate", recording)
+    warm = CharacterCalculator(cache_dir=tmp_path)
+    assert [warm.character(*key) for key in keys] == expected
+    assert evaluated and all(n == 10 for n, _, _ in evaluated)
+    assert any(n < 10 for n, _, _ in warm._powersum)
+    assert all(value.basis == POWERSUM for value in warm._powersum.values())
 
 
 def test_invalid_arguments():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from equichar.qpoly import ExactDivisionError, QPoly, parse_rat, rat_str
 
@@ -144,6 +144,32 @@ def test_rat_round_trip():
 @given(qpolys())
 def test_json_round_trip(p):
     assert QPoly.from_json_dict(p.to_json_dict()) == p
+
+
+integer_strings = st.integers(-(10**30), 10**30).map(str) | st.from_regex(
+    r"-?0*[0-9]{1,3}", fullmatch=True
+)
+rational_strings = st.builds(
+    "{}/{}".format, st.integers(-99, 99), st.integers(1, 99)
+) | st.fractions(max_denominator=50).map(str)
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(0, 12).map(str), integer_strings | rational_strings, max_size=6
+    )
+)
+def test_integer_parse_matches_fraction_parse(data):
+    """The `int` path of `from_json_dict` reads what the `Fraction` path reads."""
+    expected = QPoly({int(k): parse_rat(v) for k, v in data.items()})
+    assert QPoly.from_json_dict(data) == expected
+
+
+def test_json_rejects_negative_exponents():
+    for value in ("2", "1/2"):
+        with pytest.raises(ValueError):
+            QPoly.from_json_dict({"0": "1", "-1": value})
 
 
 def test_str():

@@ -2,16 +2,19 @@
 plethysm, and the derivative used by restriction."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from equichar.oracles import jacobi_trudi_to_powersum
 from equichar.partitions import centralizer_order, irrep_dimension, partitions_of, union
 from equichar.qpoly import QPoly
 from equichar.symfunc import (
     POWERSUM,
     SCHUR,
     SymFunc,
+    character_table,
     character_value,
     one,
     powersum,
@@ -60,11 +63,34 @@ def test_character_size_mismatch(lam, mu):
             character_value(lam, mu)
 
 
-def test_column_orthogonality_s5():
-    # sum over irreps of chi(mu)^2 equals the centralizer order
-    for mu in partitions_of(5):
-        total = sum(character_value(lam, mu) ** 2 for lam in partitions_of(5))
-        assert total == centralizer_order(mu)
+def test_character_table_matches_jacobi_trudi():
+    """chi^lam(mu) is z_mu times the p_mu coefficient of s_lam; the Jacobi-Trudi
+    oracle expands s_lam without the abacus or any character value."""
+    for n in range(10):
+        parts = partitions_of(n)
+        table = character_table(n)
+        for i, lam in enumerate(parts):
+            s_lam = jacobi_trudi_to_powersum(lam)
+            for j, mu in enumerate(parts):
+                c = s_lam.coeff(mu)
+                assert c.degree <= 0
+                assert table[i][j] == c.coeff(0) * centralizer_order(mu)
+                assert character_value(lam, mu) == table[i][j]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_character_table_orthogonality(n):
+    parts = partitions_of(n)
+    table = character_table(n)
+    classes = [factorial(n) // centralizer_order(mu) for mu in parts]
+    for a, row_a in enumerate(table):
+        for b, row_b in enumerate(table):
+            # rows: sum over classes of |class| chi^a chi^b = n! [a == b]
+            rows = sum(c * x * y for c, x, y in zip(classes, row_a, row_b))
+            assert rows == (factorial(n) if a == b else 0)
+            # columns: sum over irreducibles of chi(mu_a) chi(mu_b) = z_mu [a == b]
+            columns = sum(row[a] * row[b] for row in table)
+            assert columns == (centralizer_order(parts[a]) if a == b else 0)
 
 
 # --- basis conversion --------------------------------------------------------
