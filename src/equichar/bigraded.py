@@ -6,12 +6,12 @@ lands here via the normalized power-sum derivative.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import groupby
+from math import comb
 
 from .partitions import (
     check_partition,
     irrep_dimension,
-    partitions_of,
     sort_key,
     split_factor,
     union,
@@ -263,15 +263,37 @@ def restrict_full(f: SymFunc, k: int) -> BiSymFunc:
 
     Equals sum over lam of (d/dp_lam f) (x) p_lam with lam running over
     partitions of n-k; the derivative is the normalized one, so no extra
-    combinatorial factors appear.
+    combinatorial factors appear.  Each term p_mu is walked once: every
+    sub-multiset lam of mu with |lam| = n-k gives the term p_(mu - lam) (x)
+    p_lam with count prod_j C(m_j(mu), m_j(lam)).  Different mu never meet
+    on one key, since mu is the union of the two legs.
     """
     n = f.degree
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in [0, {n}]")
-    fp = f.to_powersum()
     out: dict[tuple, QPoly] = {}
-    for lam in partitions_of(n - k):
-        d = fp.pderiv(lam)
-        for key, c in d.terms.items():
-            out[(key, lam)] = c
+    for mu, c in f.to_powersum().terms.items():
+        for lam, rest, count in _splits(mu, n - k):
+            out[(rest, lam)] = c * count
     return BiSymFunc._raw(POWERSUM, k, n - k, out)
+
+
+def _splits(mu, size):
+    """Triples (lam, mu - lam, prod_j C(m_j(mu), m_j(lam))) over the
+    sub-multisets lam of the partition mu with |lam| = size."""
+    # Partial splits (lam, rest, count, size still to take), extended one
+    # distinct part at a time; `left` is what the later parts can still give.
+    found = [((), (), 1, size)]
+    left = sum(mu)
+    for j, group in groupby(mu):
+        m = len(tuple(group))
+        left -= j * m
+        grown = []
+        for lam, rest, count, need in found:
+            for r in range(min(m, need // j) + 1):
+                if need - j * r <= left:
+                    grown.append(
+                        (lam + (j,) * r, rest + (j,) * (m - r), count * comb(m, r), need - j * r)
+                    )
+        found = grown
+    return [(lam, rest, count) for lam, rest, count, _ in found]

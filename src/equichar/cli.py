@@ -110,6 +110,7 @@ def cmd_length_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_n(args.n_max)
     calc = _calculator(args)
     result = run_suite(args.suite, calc, args.n_max)
     print(_dumps(result.to_json_dict()))

@@ -19,16 +19,25 @@ tests use it to check the recursion's value there.
 Each blow-up step along the way adds correction terms assembled from a
 smaller space, a Kronecker projection of the exceptional-fiber character,
 and a plethysm with the character of the blown-up stratum.
+
+The fixed inputs of the recursion are built in closed form, from integers
+and the centralizer orders z_mu alone, with no change of basis: the
+one-row Schur functions h_m = sum p_mu / z_mu (`symfunc.complete`), the GIT
+bases one integer numerator per power sum, divided by q^3 - q by integer
+synthetic division, and the fiber character.  The Kronecker projections
+and plethysms of a blow-up step depend only on (m, l) and are built once
+per process (`_blowup_kernel`).
 """
 
 import json
 import os
 import threading
+from functools import cache
 from pathlib import Path
 
-from .partitions import partitions_of
-from .qpoly import QPoly
-from .symfunc import POWERSUM, SymFunc, one, powersum, schur
+from .partitions import centralizer_order, partitions_of
+from .qpoly import ExactDivisionError, QPoly
+from .symfunc import POWERSUM, SymFunc, complete, powersum, schur
 from .bigraded import BiSymFunc, restrict_full
 
 
@@ -37,7 +46,6 @@ class CacheError(RuntimeError):
 
 
 CACHE_SCHEMA_VERSION = 1
-_DIVISOR = QPoly({3: 1, 1: -1})  # q^3 - q
 
 
 def base_level(n: int, k: int) -> int:
@@ -55,80 +63,103 @@ def base_level(n: int, k: int) -> int:
     return n - k
 
 
+def _subset_sums(mu) -> list[int]:
+    """Coefficients of prod_j (1 + t^(mu_j)): entry a counts the ways to pick
+    parts of mu, told apart, that add up to a."""
+    sums = [1] + [0] * sum(mu)
+    top = 0
+    for part in mu:
+        top += part
+        for a in range(top, part - 1, -1):
+            sums[a] += sums[a - part]
+    return sums
+
+
+def _git_numerator(n: int, sums: list[int]) -> dict[int, int]:
+    """z_mu times the p_mu coefficient of `git_polynomial(n)`, from the
+    subset sums of mu."""
+    out: dict[int, int] = {}
+    for a in range(n // 2 + 1):
+        out[n - a] = out.get(n - a, 0) + sums[a]
+        out[a + 1] = out.get(a + 1, 0) - sums[a]
+    return out
+
+
+def _divide_q3_minus_q(numerator: dict[int, int]) -> dict[int, int]:
+    """Exact quotient of an integer polynomial by q^3 - q, by synthetic
+    division (q^e = q^(e-3) (q^3 - q) + q^(e-2)); a remainder raises
+    ExactDivisionError.  The divisor is monic, so the quotient of an integer
+    polynomial has integer coefficients whenever it is exact."""
+    coeffs = [0] * (max(numerator, default=0) + 1)
+    for e, v in numerator.items():
+        coeffs[e] += v
+    quotient = {}
+    for e in range(len(coeffs) - 1, 2, -1):
+        if coeffs[e]:
+            quotient[e - 3] = coeffs[e]
+            coeffs[e - 2] += coeffs[e]
+    if any(coeffs[:3]):
+        raise ExactDivisionError(f"q^3 - q leaves the remainder {coeffs[:3]} (q^0, q^1, q^2)")
+    return quotient
+
+
+def _closed_form(n: int, numerator, denominator: int = 1) -> SymFunc:
+    """The power-sum function with p_mu coefficient
+    numerator(mu, _subset_sums(mu)) / (denominator z_mu) for each mu of n."""
+    terms = {}
+    for mu in partitions_of(n):
+        coeff = QPoly.from_numerators(
+            numerator(mu, _subset_sums(mu)), denominator * centralizer_order(mu)
+        )
+        if coeff:
+            terms[mu] = coeff
+    return SymFunc(POWERSUM, n, terms)
+
+
 def git_polynomial(n: int) -> SymFunc:
-    """Generating numerator of the GIT base: sum of s_(n-i) s_(i) (q^(n-i) - q^(i+1))."""
+    """Generating numerator of the GIT base: sum of s_(n-i) s_(i) (q^(n-i) - q^(i+1)).
+
+    Built per power sum from sum_a t^a h_a h_(n-a) = sum_mu (p_mu / z_mu)
+    prod_j (1 + t^(mu_j)) (Macdonald I.2): h_(n-i) h_i contributes
+    [t^i] prod_j (1 + t^(mu_j)) / z_mu to the coefficient of p_mu.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    total = SymFunc.zero(n)
-    for i in range(n // 2 + 1):
-        weight = QPoly({n - i: 1}) - QPoly({i + 1: 1})
-        if weight.is_zero():
-            continue
-        left = schur((n - i,)).to_powersum()
-        right = schur((i,)).to_powersum() if i else one()
-        total = total + (left * right).scale(weight)
-    return total
+    return _closed_form(n, lambda mu, sums: _git_numerator(n, sums))
 
 
 def blowup_fiber_character(m: int, l: int) -> SymFunc:
     """Character of the m-fold product of the positive-degree cohomology of P^(l-1).
 
     Sum over tuples (m_1, ..., m_(l-1)) of non-negative multiplicities with
-    total m, each contributing prod_j s_(m_j) in q-degree sum_j j*m_j.  The
-    l = 1 fiber has no positive cohomology, so the character is zero.
+    total m, each contributing prod_j s_(m_j) in q-degree sum_j j*m_j.  That
+    sum is the plethysm h_m[X (q + ... + q^(l-1))], so the p_mu coefficient
+    is that of h_m times prod_i (q^(mu_i) + q^(2 mu_i) + ... + q^((l-1) mu_i)).
+    The l = 1 fiber has no positive cohomology, so the character is zero.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     if l < 1:
         raise ValueError("need l >= 1")
-    total = SymFunc.zero(m)
     if l == 1:
-        return total
-    row_cache: dict[int, SymFunc] = {}
-
-    def row(c):
-        f = row_cache.get(c)
-        if f is None:
-            f = schur((c,)).to_powersum()
-            row_cache[c] = f
-        return f
-
-    def compositions(remaining, slots):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for first in range(remaining + 1):
-            for rest in compositions(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    for comp in compositions(m, l - 1):
-        d = sum((j + 1) * c for j, c in enumerate(comp))
-        prod = one()
-        for c in comp:
-            if c:
-                prod = prod * row(c)
-        total = total + prod.scale(QPoly.q(d))
-    return total
-
-
-def _divide_out(numerator: SymFunc) -> SymFunc:
-    """Exact division by q^3 - q of every power-sum coefficient; remainder is fatal.
-
-    The change to the Schur basis has q-free rational entries, so it commutes
-    with remainders modulo q^3 - q: the power-sum coefficients all divide
-    exactly if and only if the Schur coefficients do.
-    """
-    num = numerator.to_powersum()
-    out = {lam: c.divexact(_DIVISOR) for lam, c in num.terms.items()}
-    return SymFunc(POWERSUM, num.degree, out)
+        return SymFunc.zero(m)
+    strata = QPoly.q() * QPoly.geometric(l - 1)
+    terms = {}
+    for mu, coeff in complete(m).terms.items():
+        for part in mu:
+            coeff = coeff * strata.stretch(part)
+        terms[mu] = coeff
+    return SymFunc(POWERSUM, m, terms)
 
 
 def git_base_odd(n: int) -> BiSymFunc:
-    """Stable-end character for odd n with no heavy points."""
+    """Stable-end character for odd n with no heavy points: `git_polynomial(n)`
+    divided by q^3 - q, one integer numerator per power sum."""
     if n < 3 or n % 2 == 0:
         raise ValueError("need odd n >= 3")
-    return BiSymFunc.embed_y(_divide_out(git_polynomial(n)))
+    return BiSymFunc.embed_y(
+        _closed_form(n, lambda mu, sums: _divide_q3_minus_q(_git_numerator(n, sums)))
+    )
 
 
 def git_base_even(n: int) -> BiSymFunc:
@@ -138,22 +169,50 @@ def git_base_even(n: int) -> BiSymFunc:
     numerator is repaired by middle-weight terms before the exact division,
     and a final plethysm term restores the resolved locus:
 
-        [P - s_(m)^2 q^m + (s_(2) o s_(m)) q + (s_(1,1) o s_(m)) q^2] / (q^3 - q)
-          + s_(2) o (s_(m) (1 + q + ... + q^(m-2)))        with m = n/2.
+        [P - h_m^2 q^m + (s_(2) o h_m) q + (s_(1,1) o h_m) q^2] / (q^3 - q)
+          + s_(2) o (h_m g)        with m = n/2, g = 1 + q + ... + q^(m-2).
+
+    Each p_mu coefficient is built over 2 z_mu from closed forms:
+    s_(2) o h_m = (h_m^2 + p_2 o h_m)/2 and s_(1,1) o h_m = (h_m^2 - p_2 o h_m)/2;
+    z_mu [p_mu] h_m^2 is the subset sum of mu at m; z_mu [p_mu] p_2 o h_m is
+    2^len(mu) if every part of mu is even and 0 otherwise; and
+    s_(2) o (h_m g) = (h_m^2 g(q)^2 + (p_2 o h_m) g(q^2))/2.
     """
     if n < 4 or n % 2:
         raise ValueError("need even n >= 4")
     m = n // 2
-    s_m = schur((m,)).to_powersum()
-    numerator = (
-        git_polynomial(n)
-        - (s_m * s_m).scale(QPoly.q(m))
-        + schur((2,)).pleth(s_m).scale(QPoly.q(1))
-        + schur((1, 1)).pleth(s_m).scale(QPoly.q(2))
-    )
-    head = _divide_out(numerator)
-    tail = schur((2,)).pleth(s_m.scale(QPoly.geometric(m - 1)))
-    return BiSymFunc.embed_y(head + tail)
+    g_squared = {e: min(e, 2 * m - 4 - e) + 1 for e in range(2 * m - 3)}
+
+    def numerator(mu, sums):
+        square = sums[m]  # z_mu [p_mu] h_m^2
+        p2 = 2 ** len(mu) if all(a % 2 == 0 for a in mu) else 0  # z_mu [p_mu] p_2 o h_m
+        head = {e: 2 * v for e, v in _git_numerator(n, sums).items()}
+        head[m] = head.get(m, 0) - 2 * square
+        head[1] = head.get(1, 0) + square + p2
+        head[2] = head.get(2, 0) + square - p2
+        out = _divide_q3_minus_q(head)
+        for e, v in g_squared.items():
+            out[e] = out.get(e, 0) + square * v
+        for i in range(m - 1):
+            out[2 * i] = out.get(2 * i, 0) + p2
+        return out
+
+    return BiSymFunc.embed_y(_closed_form(n, numerator, 2))
+
+
+@cache
+def _blowup_kernel(m: int, l: int) -> tuple[tuple[tuple[int, ...], BiSymFunc], ...]:
+    """The pairs (nu, embed_y((p_nu * fiber) o h_(l+1))) that are not zero,
+    with the fiber of `blowup_fiber_character(m, l)`: a correction is the sum
+    of sub.deriv_x(nu) times the second entry.  Shared; do not mutate."""
+    fiber = blowup_fiber_character(m, l)
+    glue = complete(l + 1)
+    kernel = []
+    for nu in partitions_of(m):
+        projected = powersum(nu).kron(fiber)
+        if not projected.is_zero():
+            kernel.append((nu, BiSymFunc.embed_y(projected.pleth(glue))))
+    return tuple(kernel)
 
 
 def projective_space_character(n: int) -> BiSymFunc:
@@ -231,9 +290,7 @@ class CharacterCalculator:
     def _evaluate(self, key) -> BiSymFunc:
         n, k, l = key
         if n == 3:
-            fx = schur((k,)) if k else one()
-            fy = schur((3 - k,)) if 3 - k else one()
-            return BiSymFunc.tensor(fx, fy)
+            return BiSymFunc.tensor(complete(k), complete(3 - k))
         if k == n:
             return self._full_character(n).swap_legs()
         if k == 0:
@@ -261,14 +318,9 @@ class CharacterCalculator:
         """Correction added when the weight crosses 1/(l+1): strata of m light
         points colliding, glued along a smaller space with one extra heavy point."""
         sub = self._operand(self.normalized_key(n - l * m, k + m, l + 1))
-        fiber = blowup_fiber_character(m, l)
-        glue = schur((l + 1,))
         total = BiSymFunc.zero(k, n - k)
-        for nu in partitions_of(m):
-            projected = powersum(nu).kron(fiber)
-            if projected.is_zero():
-                continue
-            total = total + sub.deriv_x(nu) * BiSymFunc.embed_y(projected.pleth(glue))
+        for nu, glued in _blowup_kernel(m, l):
+            total = total + sub.deriv_x(nu) * glued
         return total
 
     # -- persistence ---------------------------------------------------------

@@ -72,6 +72,14 @@ class QPoly:
         self._d = d
 
     @classmethod
+    def from_numerators(cls, numerators: dict, denominator: int = 1) -> "QPoly":
+        """The polynomial sum of v q^k / denominator over {k: v} with int v,
+        built without `Fraction`; zero numerators are dropped."""
+        if denominator < 1:
+            raise ValueError("the denominator must be positive")
+        return _make({k: v for k, v in numerators.items() if v}, denominator)
+
+    @classmethod
     def q(cls, exponent: int = 1, coeff=1) -> "QPoly":
         return cls({exponent: coeff})
 

@@ -12,7 +12,8 @@ to integers.  One exact division at the end restores the rationals.  The
 character values come from `character_table(n)`, one table per degree built
 by the Murnaghan-Nakayama rule on an abacus; the tables, the integer rows
 read from them and the single values of `character_value` are memoized
-globally.
+globally.  The one-row Schur functions h_m have a closed form in power sums,
+`complete(m)`, which needs no table.
 
 Plethysm twists the grading variable: p_a composed with q^k p_mu gives
 q^(a*k) p_(a*mu), while q-coefficients of the outer operand pass through
@@ -71,14 +72,11 @@ def character_table(n: int) -> tuple[tuple[int, ...], ...]:
         between = (1 << (a - 1)) - 1
         out = {}
         for mask, c in expansion(mu[1:]).items():
-            beads = mask
+            beads = mask & ~(mask >> a)  # the beads whose target b + a is empty
             while beads:
                 bead = beads & -beads
                 beads ^= bead
-                target = bead << a
-                if mask & target:
-                    continue
-                moved = mask ^ bead ^ target
+                moved = mask ^ bead ^ (bead << a)
                 passed = (mask >> bead.bit_length() & between).bit_count()
                 v = out.get(moved, 0) + (-c if passed & 1 else c)
                 if v:
@@ -454,3 +452,16 @@ def schur(lam, coeff=1) -> SymFunc:
 def one() -> SymFunc:
     """The unit of the ring: the empty partition in degree 0."""
     return SymFunc(POWERSUM, 0, {(): 1})
+
+
+@cache
+def complete(m: int) -> SymFunc:
+    """The one-row Schur function h_m = s_(m) in power sums, in closed form:
+    h_m = sum over mu of m of p_mu / z_mu (Macdonald I.2), so no character
+    table is built.  The value is shared; do not mutate its terms."""
+    res = SymFunc.__new__(SymFunc)
+    res.basis, res.degree = POWERSUM, m
+    res.terms = {
+        mu: QPoly.from_numerators({0: 1}, centralizer_order(mu)) for mu in partitions_of(m)
+    }
+    return res

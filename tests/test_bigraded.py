@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from equichar.bigraded import BiSymFunc, restrict_full
+from equichar.moduli import CharacterCalculator
 from equichar.partitions import irrep_dimension, partitions_of
 from equichar.qpoly import QPoly
 from equichar.symfunc import POWERSUM, SCHUR, SymFunc, powersum, schur
@@ -115,6 +116,29 @@ def test_addition_needs_matching_bidegree():
     g = BiSymFunc.tensor(schur((2,)), schur((1,)))
     with pytest.raises(ValueError):
         f + g
+
+
+def _restrict_by_derivatives(f, k):
+    """sum over lam of n-k of f.pderiv(lam) (x) p_lam: one derivative per lam."""
+    n = f.degree
+    total = BiSymFunc.zero(k, n - k)
+    for lam in partitions_of(n - k):
+        total = total + BiSymFunc.tensor(f.pderiv(lam), powersum(lam))
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_restrict_full_matches_derivatives(n):
+    for lam in partitions_of(n):
+        f = schur(lam).to_powersum()
+        for k in range(n + 1):
+            assert restrict_full(f, k) == _restrict_by_derivatives(f, k), (lam, k)
+
+
+def test_restrict_full_of_full_character():
+    f = CharacterCalculator().character(10).to_powersum().y_symfunc()
+    for k in range(11):
+        assert restrict_full(f, k) == _restrict_by_derivatives(f, k), k
 
 
 @given(partitions(max_size=5, min_size=1), st.integers(min_value=0, max_value=4))

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from equichar import bigraded, symfunc
+from equichar import bigraded, moduli, symfunc
 from equichar.bigraded import BiSymFunc
 from equichar.moduli import (
     CacheError,
     CharacterCalculator,
+    _divide_q3_minus_q,
     base_level,
     blowup_fiber_character,
     git_base_even,
@@ -18,8 +19,9 @@ from equichar.moduli import (
     git_polynomial,
     projective_space_character,
 )
-from equichar.qpoly import QPoly
-from equichar.symfunc import POWERSUM, schur
+from equichar.partitions import partitions_of
+from equichar.qpoly import ExactDivisionError, QPoly
+from equichar.symfunc import POWERSUM, SymFunc, complete, one, powersum, schur
 
 
 def test_base_level_values():
@@ -98,6 +100,136 @@ def test_base_odd_divides_exactly(n):
 @pytest.mark.parametrize("n", range(4, 17, 2))
 def test_base_even_divides_exactly(n):
     git_base_even(n)
+
+
+# -- the closed forms against their definitions ---------------------------
+#
+# The references below build the recursion inputs the long way: one-row Schur
+# functions through the change of basis, products and plethysms in the
+# kernel, and a division of every power-sum coefficient with `divexact`.
+
+
+def _reference_git_polynomial(n):
+    total = SymFunc.zero(n)
+    for i in range(n // 2 + 1):
+        weight = QPoly({n - i: 1}) - QPoly({i + 1: 1})
+        right = schur((i,)).to_powersum() if i else one()
+        total = total + (schur((n - i,)).to_powersum() * right).scale(weight)
+    return total
+
+
+def _reference_divide(numerator):
+    num = numerator.to_powersum()
+    divisor = QPoly({3: 1, 1: -1})
+    return SymFunc(POWERSUM, num.degree, {lam: c.divexact(divisor) for lam, c in num.terms.items()})
+
+
+def _reference_git_base(n):
+    if n % 2:
+        return BiSymFunc.embed_y(_reference_divide(_reference_git_polynomial(n)))
+    m = n // 2
+    s_m = schur((m,)).to_powersum()
+    numerator = (
+        _reference_git_polynomial(n)
+        - (s_m * s_m).scale(QPoly.q(m))
+        + schur((2,)).pleth(s_m).scale(QPoly.q(1))
+        + schur((1, 1)).pleth(s_m).scale(QPoly.q(2))
+    )
+    tail = schur((2,)).pleth(s_m.scale(QPoly.geometric(m - 1)))
+    return BiSymFunc.embed_y(_reference_divide(numerator) + tail)
+
+
+def _reference_fiber(m, l):
+    total = SymFunc.zero(m)
+
+    def compositions(remaining, slots):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        for first in range(remaining + 1):
+            for rest in compositions(remaining - first, slots - 1):
+                yield (first,) + rest
+
+    for comp in compositions(m, l - 1):
+        prod = one()
+        for c in comp:
+            if c:
+                prod = prod * schur((c,)).to_powersum()
+        total = total + prod.scale(QPoly.q(sum((j + 1) * c for j, c in enumerate(comp))))
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_git_polynomial_matches_definition(n):
+    assert git_polynomial(n) == _reference_git_polynomial(n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_git_base_matches_definition(n):
+    base = git_base_odd(n) if n % 2 else git_base_even(n)
+    assert base.basis == POWERSUM
+    assert base == _reference_git_base(n)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_complete_is_the_one_row_schur_function(m):
+    assert complete(m) == (schur((m,)).to_powersum() if m else one())
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_fiber_character_matches_definition(m):
+    for l in range(1, 6):
+        assert blowup_fiber_character(m, l) == _reference_fiber(m, l)
+
+
+def test_divide_q3_minus_q():
+    # (q^3 - q)(2q^2 - 3) = 2q^5 - 5q^3 + 3q
+    assert _divide_q3_minus_q({5: 2, 3: -5, 1: 3}) == {2: 2, 0: -3}
+    assert _divide_q3_minus_q({}) == {}
+    for numerator in ({0: 1}, {1: 1}, {2: 1}, {4: 1}, {5: 2, 3: -5, 1: 3, 0: 1}):
+        with pytest.raises(ExactDivisionError):
+            _divide_q3_minus_q(numerator)
+
+
+@pytest.mark.parametrize("build", [git_base_odd, git_base_even])
+def test_git_base_remainder_is_fatal(build, monkeypatch):
+    real = moduli._git_numerator
+
+    def off_by_one(n, sums):
+        out = real(n, sums)
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(moduli, "_git_numerator", off_by_one)
+    with pytest.raises(ExactDivisionError):
+        build(7 if build is git_base_odd else 8)
+
+
+def _reference_correction(calc, n, k, m, l):
+    sub = calc.character(n - l * m, k + m, l + 1).to_powersum()
+    fiber = _reference_fiber(m, l)
+    glue = schur((l + 1,))
+    total = BiSymFunc.zero(k, n - k)
+    for nu in partitions_of(m):
+        projected = powersum(nu).kron(fiber)
+        total = total + sub.deriv_x(nu) * BiSymFunc.embed_y(projected.pleth(glue))
+    return total
+
+
+def test_corrections_match_definition():
+    calc = CharacterCalculator()
+    checked = 0
+    for n in range(3, 10):
+        for k in range(n + 1):
+            for l in range(2, n - k):
+                for m in range(1, (n - k) // (l + 1) + 1):
+                    if n - l * m < 3:
+                        continue
+                    expected = _reference_correction(calc, n, k, m, l)
+                    assert calc.blowup_correction(n, k, m, l) == expected, (n, k, m, l)
+                    checked += 1
+    assert checked > 50
 
 
 def test_normalized_key():

@@ -24,6 +24,16 @@ def test_construction_and_coeffs():
     assert QPoly().degree == -1
 
 
+def test_from_numerators_is_reduced():
+    p = QPoly.from_numerators({3: 4, 1: 0, 0: -6}, 8)
+    assert p == QPoly({3: Fraction(1, 2), 0: Fraction(-3, 4)})
+    assert QPoly.from_numerators({0: 0, 2: 0}, 5) == QPoly(0)
+    assert QPoly.from_numerators({1: 7}) == QPoly.q(1, 7)
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            QPoly.from_numerators({0: 1}, bad)
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         QPoly({-1: 1})

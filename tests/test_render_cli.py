@@ -102,6 +102,16 @@ def test_cli_verify_runs_suite(capsys):
     assert payload["passed"] == 9
 
 
+@pytest.mark.parametrize("suite", ["duality", "oracles", "paper-examples"])
+@pytest.mark.parametrize("n_max", ["2", "-5"])
+def test_cli_verify_rejects_empty_range(capsys, suite, n_max):
+    """A range with no n >= 3 would check nothing and report success."""
+    assert main(["verify", "--suite", suite, "--n-max", n_max]) == 1
+    captured = capsys.readouterr()
+    assert "at least 3" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_usage_errors(capsys):
     assert main(["compute", "--n", "2"]) == 1
     assert "at least 3" in capsys.readouterr().err
