@@ -22,7 +22,6 @@ from .moduli import (
     git_base_even,
     git_base_odd,
     git_polynomial,
-    projective_space_character,
 )
 from .lengths import (
     LengthReport,
@@ -73,7 +72,6 @@ __all__ = [
     "partitions_of",
     "plethysm_leading_partition",
     "powersum",
-    "projective_space_character",
     "rep_length",
     "restrict_full",
     "run_suite",

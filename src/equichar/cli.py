@@ -45,9 +45,9 @@ def _calculator(args) -> CharacterCalculator:
     return CharacterCalculator(cache_dir=_cache_dir(args))
 
 
-def _require_n(n: int) -> None:
+def _require_n(n: int, flag: str = "--n") -> None:
     if n < 3:
-        raise ValueError("n must be at least 3")
+        raise ValueError(f"{flag} must be at least 3")
 
 
 def cmd_compute(args) -> int:
@@ -83,7 +83,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_length_table(args) -> int:
-    _require_n(args.n_max)
+    _require_n(args.n_max, "--n-max")
     calc = _calculator(args)
     reports = [length_theorem_report(n, calc) for n in range(3, args.n_max + 1)]
     all_ok = all(report.ok for report in reports)
@@ -110,7 +110,7 @@ def cmd_length_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_n(args.n_max)
+    _require_n(args.n_max, "--n-max")
     calc = _calculator(args)
     result = run_suite(args.suite, calc, args.n_max)
     print(_dumps(result.to_json_dict()))

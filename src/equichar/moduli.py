@@ -12,9 +12,6 @@ between its extremes connects every E(n, k, l) to one of two bases:
   k = 0 character.
 
 Keys with k >= 1 walk up from l <= 2, subtracting corrections.
-`projective_space_character`, the closed form at the stable end for k = 1
-(a projective space of dimension n-3), is not a base of the recursion; the
-tests use it to check the recursion's value there.
 
 Each blow-up step along the way adds correction terms assembled from a
 smaller space, a Kronecker projection of the exceptional-fiber character,
@@ -37,7 +34,7 @@ from pathlib import Path
 
 from .partitions import centralizer_order, partitions_of
 from .qpoly import ExactDivisionError, QPoly
-from .symfunc import POWERSUM, SymFunc, complete, powersum, schur
+from .symfunc import POWERSUM, SymFunc, _acc, complete, powersum
 from .bigraded import BiSymFunc, restrict_full
 
 
@@ -215,13 +212,6 @@ def _blowup_kernel(m: int, l: int) -> tuple[tuple[tuple[int, ...], BiSymFunc], .
     return tuple(kernel)
 
 
-def projective_space_character(n: int) -> BiSymFunc:
-    """Stable-end character for one heavy point: a projective space of dimension n-3."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    return BiSymFunc.tensor(schur((1,)), schur((n - 1,))).scale(QPoly.geometric(n - 2))
-
-
 class CharacterCalculator:
     """Memoized evaluator of the characters E(n, k, l).
 
@@ -298,18 +288,20 @@ class CharacterCalculator:
             if l >= r:
                 base = git_base_odd(n) if n % 2 else git_base_even(n)
                 return base.to_powersum()
-            total = self._operand(self.normalized_key(n, 0, l + 1))
+            terms = dict(self._operand(self.normalized_key(n, 0, l + 1)).terms)
             for m in range(1, n // (l + 1) + 1):
                 assert n - l * m >= 3
-                total = total + self._correction(n, 0, m, l)
-            return total
+                for term, c in self._correction(n, 0, m, l).terms.items():
+                    _acc(terms, term, c)
+            return BiSymFunc._raw(POWERSUM, 0, n, terms)
         if l <= 2:
             return restrict_full(self._full_character(n).y_symfunc(), k)
-        total = self._operand(self.normalized_key(n, k, l - 1))
+        terms = dict(self._operand(self.normalized_key(n, k, l - 1)).terms)
         for m in range(1, (n - k) // l + 1):
             assert n - (l - 1) * m >= 3
-            total = total - self._correction(n, k, m, l - 1)
-        return total
+            for term, c in self._correction(n, k, m, l - 1).terms.items():
+                _acc(terms, term, -c)
+        return BiSymFunc._raw(POWERSUM, k, n - k, terms)
 
     def _full_character(self, n: int) -> BiSymFunc:
         return self._operand(self.normalized_key(n, 0, 1))
@@ -318,10 +310,11 @@ class CharacterCalculator:
         """Correction added when the weight crosses 1/(l+1): strata of m light
         points colliding, glued along a smaller space with one extra heavy point."""
         sub = self._operand(self.normalized_key(n - l * m, k + m, l + 1))
-        total = BiSymFunc.zero(k, n - k)
+        terms: dict = {}
         for nu, glued in _blowup_kernel(m, l):
-            total = total + sub.deriv_x(nu) * glued
-        return total
+            for term, c in (sub.deriv_x(nu) * glued).terms.items():
+                _acc(terms, term, c)
+        return BiSymFunc._raw(POWERSUM, k, n - k, terms)
 
     # -- persistence ---------------------------------------------------------
 

@@ -9,17 +9,22 @@ function at a time, as an integer product with the character values
 chi^lam(mu) (power sums to Schur) or with the class sizes times character
 values, (n!/z_mu) chi^lam(mu) (Schur to power sums), on coefficients scaled
 to integers.  One exact division at the end restores the rationals.  The
-character values come from `character_table(n)`, one table per degree built
-by the Murnaghan-Nakayama rule on an abacus; the tables, the integer rows
-read from them and the single values of `character_value` are memoized
-globally.  The one-row Schur functions h_m have a closed form in power sums,
-`complete(m)`, which needs no table.
+character values of S_n are held once per degree, in one flat `array('q')`
+in column-major order (`_table`), memoized globally.  Column mu = (a, nu)
+is built from column nu of the S_(n-a) table by adding border strips of a
+cells on an abacus (the Murnaghan-Nakayama rule).  `change_basis` reads
+the table in place: a column slice takes p_mu to Schur functions, a strided
+row slice times the class sizes n!/z_mu takes s_lam to power sums.
+`character_table` and `character_value` are views of the same store.  The
+one-row Schur functions h_m have a closed form in power sums, `complete(m)`,
+which needs no table.
 
 Plethysm twists the grading variable: p_a composed with q^k p_mu gives
 q^(a*k) p_(a*mu), while q-coefficients of the outer operand pass through
 untouched (the same convention the Kronecker product uses).
 """
 
+from array import array
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
@@ -45,82 +50,87 @@ def _partition_index(n: int) -> dict:
 
 
 @cache
-def character_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """The character table of S_n: entry [i][j] is chi^lam(mu) for
-    lam = partitions_of(n)[i] and mu = partitions_of(n)[j].
+def _table(n: int) -> array:
+    """The character table of S_n, stored once: chi^lam_i(mu_j) at index
+    j*P + i (column-major, P = p(n)), for lam_i and mu_j in `partitions_of(n)`.
 
-    Column mu is the Schur expansion of p_mu = p_(mu_1) p_(mu_2, ...), built
-    by the Murnaghan-Nakayama rule on an n-bead abacus.  A partition of size
-    at most n is the bitmask of its beta-numbers lam_i + n - 1 - i (i < n,
-    lam padded with zeros); multiplying s_lam by p_a adds a border strip of a
-    cells, which moves one bead from b up to an empty b + a, with sign
-    (-1)^(beads passed).  The expansions of the suffixes (mu_2, ...) are
-    shared between columns.
+    Column mu = (a, nu) is the Schur expansion of p_mu = p_a p_nu, built from
+    column nu of the S_(n-a) table by the Murnaghan-Nakayama rule on an
+    n-bead abacus.  A partition of size at most n is the bitmask of its
+    beta-numbers lam_i + n - 1 - i (i < n, lam padded with zeros);
+    multiplying s_kappa by p_a adds a border strip of a cells, which moves
+    one bead from b up to an empty b + a, with sign (-1)^(beads passed).
+    The strips added to one kappa of S_(n-a) are listed once per build.
+    `array('q')` refuses a value outside 64-bit range with OverflowError
+    instead of wrapping, so every stored character value is exact.
     """
+    if not n:
+        return array("q", [1])
     parts = partitions_of(n)
-    position = {}
-    for i, lam in enumerate(parts):
-        padded = lam + (0,) * (n - len(lam))
-        position[sum(1 << (a + n - 1 - j) for j, a in enumerate(padded))] = i
-    expansions = {(): {(1 << n) - 1: 1}}
+    position = {_beads(lam, n): i for i, lam in enumerate(parts)}
+    strips: dict[tuple[int, int], tuple[list, list]] = {}
 
-    def expansion(mu):
-        out = expansions.get(mu)
-        if out is not None:
-            return out
-        a = mu[0]
-        between = (1 << (a - 1)) - 1
-        out = {}
-        for mask, c in expansion(mu[1:]).items():
+    def added(a, k):
+        """Indices of the lam reached from partitions_of(n - a)[k] by one
+        a-strip, split by sign."""
+        out = strips.get((a, k))
+        if out is None:
+            mask = _beads(partitions_of(n - a)[k], n)
+            between = (1 << (a - 1)) - 1
+            out = ([], [])
             beads = mask & ~(mask >> a)  # the beads whose target b + a is empty
             while beads:
                 bead = beads & -beads
                 beads ^= bead
-                moved = mask ^ bead ^ (bead << a)
                 passed = (mask >> bead.bit_length() & between).bit_count()
-                v = out.get(moved, 0) + (-c if passed & 1 else c)
-                if v:
-                    out[moved] = v
-                else:
-                    del out[moved]
-        expansions[mu] = out
+                out[passed & 1].append(position[mask ^ bead ^ (bead << a)])
+            strips[a, k] = out
         return out
 
-    table = [[0] * len(parts) for _ in parts]
-    for j, mu in enumerate(parts):
-        for mask, c in expansion(mu).items():
-            table[position[mask]][j] = c
-    return tuple(map(tuple, table))
+    table = array("q")
+    for mu in parts:
+        a, m = mu[0], n - mu[0]
+        small, size = _table(m), len(partitions_of(m))
+        j = _partition_index(m)[mu[1:]]
+        column = [0] * len(parts)
+        for k, c in enumerate(small[j * size : (j + 1) * size]):
+            if c:
+                plus, minus = added(a, k)
+                for i in plus:
+                    column[i] += c
+                for i in minus:
+                    column[i] -= c
+        table.extend(column)
+    return table
+
+
+def _beads(lam, n: int) -> int:
+    """The beta-numbers of lam on an n-bead abacus, as a bitmask."""
+    return sum(1 << (a + n - 1 - i) for i, a in enumerate(lam + (0,) * (n - len(lam))))
+
+
+@cache
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """n!/z_mu for mu in `partitions_of(n)`."""
+    return tuple(factorial(n) // centralizer_order(mu) for mu in partitions_of(n))
+
+
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The character table of S_n as rows: entry [i][j] is chi^lam(mu) for
+    lam = partitions_of(n)[i] and mu = partitions_of(n)[j].  A copy, built
+    on each call from the stored table."""
+    table, size = _table(n), len(partitions_of(n))
+    return tuple(tuple(table[i::size]) for i in range(size))
 
 
 @cache
 def character_value(lam, mu) -> int:
-    """Symmetric-group character chi^lam at cycle type mu, read off `character_table`."""
+    """Symmetric-group character chi^lam at cycle type mu, read off the stored table."""
     n = sum(lam)
     if n != sum(mu):
         raise ValueError("character requires |lam| == |mu|")
     index = _partition_index(n)
-    return character_table(n)[index[lam]][index[mu]]
-
-
-@cache
-def _schur_row(mu):
-    """p_mu on the Schur basis: pairs (i, chi^lam(mu)) for lam = partitions_of(|mu|)[i]."""
-    n = sum(mu)
-    j = _partition_index(n)[mu]
-    return tuple((i, row[j]) for i, row in enumerate(character_table(n)) if row[j])
-
-
-@cache
-def _powersum_row(lam):
-    """n! s_lam on the power sums: pairs (i, (n!/z_mu) chi^lam(mu)) for mu = partitions_of(n)[i]."""
-    n = sum(lam)
-    row = character_table(n)[_partition_index(n)[lam]]
-    return tuple(
-        (i, factorial(n) // centralizer_order(mu) * chi)
-        for i, (mu, chi) in enumerate(zip(partitions_of(n), row))
-        if chi
-    )
+    return _table(n)[index[mu] * len(index) + index[lam]]
 
 
 def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
@@ -129,13 +139,14 @@ def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
     Keys are tuples holding one partition per leg, of the sizes in `degrees`.
     The integer numerators are brought over the lcm of the QPoly denominators
     and packed into one integer per QPoly by substituting q = 2^bits.  Each
-    leg is then one integer product with its row table; the Schur ->
-    power-sum rows carry the class sizes n!/z_mu, so the only division, by
-    the scale and by the product of the leg factorials, comes at the end, and
-    a remainder there leaves a non-integer coefficient.
+    leg is then one integer product with the stored character table, read in
+    place: p_mu to Schur is column mu, s_lam to power sums is row lam times
+    the class sizes n!/z_mu.  The only division, by the scale and by the
+    product of the leg factorials, comes at the end, and a remainder there
+    leaves a non-integer coefficient.
     """
-    row = _schur_row if target == SCHUR else _powersum_row
-    divisor = 1 if target == SCHUR else prod(factorial(d) for d in degrees)
+    to_schur = target == SCHUR
+    divisor = 1 if to_schur else prod(factorial(d) for d in degrees)
     polys = [c for c in terms.values() if c]
     if not polys:
         return {}
@@ -150,16 +161,22 @@ def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
     for leg, degree in enumerate(degrees):
         if not degree:
             continue
-        parts = partitions_of(degree)
+        parts, index, table = partitions_of(degree), _partition_index(degree), _table(degree)
+        size = len(parts)
         groups: dict[tuple, list] = {}
         for key, x in packed.items():
             groups.setdefault(key[:leg] + key[leg + 1 :], []).append((key[leg], x))
         packed = {}
-        for rest, column in groups.items():
-            acc = [0] * len(parts)
-            for lam, x in column:
-                for i, w in row(lam):
-                    acc[i] += w * x
+        for rest, inputs in groups.items():
+            acc = [0] * size
+            for part, x in inputs:
+                j = index[part]
+                values = table[j * size : (j + 1) * size] if to_schur else table[j::size]
+                for i, w in enumerate(values):
+                    if w:
+                        acc[i] += w * x
+            if not to_schur:
+                acc = [x * z for x, z in zip(acc, _class_sizes(degree))]
             for i, x in enumerate(acc):
                 if x:
                     packed[rest[:leg] + (parts[i],) + rest[leg:]] = x

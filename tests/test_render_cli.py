@@ -112,9 +112,15 @@ def test_cli_verify_rejects_empty_range(capsys, suite, n_max):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "duality"], ["length-table"]])
+def test_cli_n_max_error_names_the_flag(capsys, argv):
+    assert main(argv + ["--n-max", "2"]) == 1
+    assert "--n-max must be at least 3" in capsys.readouterr().err
+
+
 def test_cli_usage_errors(capsys):
     assert main(["compute", "--n", "2"]) == 1
-    assert "at least 3" in capsys.readouterr().err
+    assert "--n must be at least 3" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["compute"])  # missing required --n
     assert exc.value.code == 1

@@ -50,10 +50,19 @@ def test_character_table_s4_sign_and_standard():
     assert character_value((3, 1), (4,)) == -1
 
 
-@given(partitions(max_size=7, min_size=1))
-def test_character_at_identity_is_dimension(lam):
-    n = sum(lam)
-    assert character_value(lam, (1,) * n) == irrep_dimension(lam)
+def test_character_at_identity_is_dimension():
+    for n in range(1, 17):
+        for lam in partitions_of(n):
+            assert character_value(lam, (1,) * n) == irrep_dimension(lam)
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_character_table_column_norms(n):
+    """Column orthogonality on the diagonal, past the degrees the full
+    orthogonality test reaches: sum over lam of chi^lam(mu)^2 = z_mu."""
+    table = character_table(n)
+    for j, mu in enumerate(partitions_of(n)):
+        assert sum(row[j] ** 2 for row in table) == centralizer_order(mu)
 
 
 @given(partitions(max_size=6, min_size=1), partitions(max_size=6, min_size=1))
@@ -113,6 +122,15 @@ def test_basis_round_trip(lam):
     assert f.to_powersum().to_schur() == f
     g = powersum(lam)
     assert g.to_schur().to_powersum() == g
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_basis_round_trip_large_degree(n):
+    parts = partitions_of(n)
+    f = SymFunc(SCHUR, n, {lam: QPoly({i % 3: i + 1, 4: -1}) for i, lam in enumerate(parts[::7])})
+    assert f.to_powersum().to_schur().terms == f.terms
+    g = SymFunc(POWERSUM, n, {mu: QPoly({0: Fraction(1, i + 2)}) for i, mu in enumerate(parts[3::11])})
+    assert g.to_schur().to_powersum().terms == g.terms
 
 
 def test_cross_basis_equality():
