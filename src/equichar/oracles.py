@@ -13,9 +13,17 @@ monomials is one integer addition and raising a monomial to the a-th power
 is a multiplication of its key by a.  Its coefficients are int numerators
 over one positive denominator, in lowest terms.  The constructor rejects an
 exponent that does not fit a slot, and a product checks that the two total
-degrees do, so an exponent never carries into the next variable.  The
-Jacobi-Trudi determinant is expanded row by row over integer numerators on
-the common denominator n!.
+degrees do, so an exponent never carries into the next variable.
+
+`expand` and `oracle_plethysm` compute on dominant monomials: a symmetric
+polynomial of degree d is one int numerator per partition gam of d (the
+coefficient of x^gam) over one denominator.  A product reads
+[x^gam](P Q) = sum P[sort b] Q[sort(gam - b)] over the vectors 0 <= b <= gam
+with |b| = deg P, grouped once per (gam, deg P) into the structure constants
+of m_alpha m_beta.  p_a is m_(a), and p_a of the alphabet of g's monomials
+sends x^gam to x^(a gam).  Only the result is expanded to all monomials in
+nvars variables, once.  The Jacobi-Trudi determinant is expanded row by row
+over integer numerators on the common denominator n!.
 
 Two integer formulas check the recursion's Betti numbers at sizes the golden
 table does not reach: Keel's recursion for the full space, and the Eulerian
@@ -28,7 +36,7 @@ from functools import cache
 from math import comb, factorial, gcd, lcm, perm
 from types import MappingProxyType
 
-from .partitions import check_partition
+from .partitions import check_partition, partitions_of
 from .qpoly import QPoly
 from .symfunc import POWERSUM, SymFunc
 
@@ -165,62 +173,133 @@ def _constant_coeff(c: QPoly) -> Fraction:
     return c.coeff(0)
 
 
-def _powersum_sum(fp: SymFunc, nvars: int, product) -> MonomialPoly:
-    """The sum of c * product(lam) over the terms c p_lam of fp.  Every
-    product(lam) has integer coefficients, so the lcm of the c's
-    denominators is a common denominator for the whole sum."""
-    coeffs = {lam: _constant_coeff(c) for lam, c in fp.terms.items()}
-    d = lcm(*(c.denominator for c in coeffs.values()))
-    out: dict[int, int] = {}
-    get = out.get
-    deg = 0
-    for lam, c in coeffs.items():
-        p = product(lam)
-        s = c.numerator * (d // c.denominator)
-        for k, v in p._c.items():
-            out[k] = get(k, 0) + s * v
-        deg = max(deg, p.deg)
-    return _make(nvars, {k: v for k, v in out.items() if v}, d, deg)
+def _check_room(nvars: int, deg: int) -> None:
+    if nvars < deg:
+        raise ValueError(f"need at least {deg} variables to stay faithful")
+    if deg > _MASK:
+        raise ValueError(f"total degree {deg} does not fit an exponent slot")
 
 
 @cache
-def _power_product(nvars: int, lam: tuple[int, ...]) -> MonomialPoly:
-    """Product of power sums over a fixed variable count, shared by suffix."""
+def _splits(gam: tuple[int, ...], e: int) -> dict:
+    """alpha -> ((beta, n), ...): n vectors 0 <= b <= gam with |b| = e sort
+    to alpha while gam - b sorts to beta, so n = [m_gam](m_alpha m_beta)."""
+    found: dict = {}
+    tail = [sum(gam[i:]) for i in range(len(gam) + 1)]
+
+    def walk(i: int, left: int, b: list) -> None:
+        if i == len(gam):
+            alpha = tuple(sorted((x for x in b if x), reverse=True))
+            beta = tuple(sorted((g - x for g, x in zip(gam, b) if g != x), reverse=True))
+            row = found.setdefault(alpha, {})
+            row[beta] = row.get(beta, 0) + 1
+            return
+        for x in range(max(0, left - tail[i + 1]), min(gam[i], left) + 1):
+            walk(i + 1, left - x, b + [x])
+
+    walk(0, e, [])
+    return {alpha: tuple(row.items()) for alpha, row in found.items()}
+
+
+def _mul(p: dict, dp: int, q: dict, dq: int) -> dict:
+    """Product of symmetric polynomials of degrees dp and dq, on dominant monomials."""
+    out = {}
+    for gam in partitions_of(dp + dq):
+        splits = _splits(gam, dp)
+        s = sum(n * x * q.get(beta, 0)
+                for alpha, x in p.items() for beta, n in splits.get(alpha, ()))
+        if s:
+            out[gam] = s
+    return out
+
+
+@cache
+def _power_product(lam: tuple[int, ...]) -> dict:
+    """p_lam on dominant monomials, shared by suffix."""
     if not lam:
-        return MonomialPoly.constant(nvars, 1)
-    return MonomialPoly.power_sum(nvars, lam[0]) * _power_product(nvars, lam[1:])
+        return {(): 1}
+    return _mul({lam[:1]: 1}, lam[0], _power_product(lam[1:]), sum(lam) - lam[0])
+
+
+def _dominant(fp: SymFunc, product) -> tuple[dict, int]:
+    """The sum of c * product(lam) over the terms c p_lam of fp, as int
+    numerators on dominant monomials over one denominator, in lowest terms.
+    Each product(lam) has int coefficients, so the lcm of the c's
+    denominators is a common denominator."""
+    coeffs = {lam: _constant_coeff(c) for lam, c in fp.terms.items()}
+    d = lcm(*(c.denominator for c in coeffs.values()))
+    num: dict = {}
+    for lam, c in coeffs.items():
+        s = c.numerator * (d // c.denominator)
+        for gam, v in product(lam).items():
+            num[gam] = num.get(gam, 0) + s * v
+    g = gcd(d, *num.values())
+    return {gam: v // g for gam, v in num.items() if v}, d // g
+
+
+@cache
+def _orbits(nvars: int, deg: int) -> dict:
+    """Every packed exponent vector of degree deg in nvars >= deg variables,
+    grouped by the partition it sorts to.  The keys for variables i.. holding
+    a given multiset of exponents are made once, for every partition."""
+    memo: dict = {}
+
+    def keys(i: int, counts: tuple) -> list:  # counts[v]: variables i.. holding v
+        if i == nvars:
+            return [0]
+        if (i, counts) not in memo:
+            got = []
+            for v, m in enumerate(counts):
+                if m:
+                    rest = keys(i + 1, counts[:v] + (m - 1,) + counts[v + 1:])
+                    got += [(v << i * _BITS) + k for k in rest]
+            memo[i, counts] = got
+        return memo[i, counts]
+
+    out = {}
+    for gam in partitions_of(deg):
+        counts = [nvars - len(gam)] + [0] * deg
+        for v in gam:
+            counts[v] += 1
+        out[gam] = tuple(keys(0, tuple(counts)))
+    return out
+
+
+def _full(nvars: int, deg: int, num: dict, d: int) -> MonomialPoly:
+    """The MonomialPoly num / d, every monomial carrying its dominant one's numerator."""
+    orbits = _orbits(nvars, deg)
+    return _make(nvars, {key: v for gam, v in num.items() for key in orbits[gam]}, d, deg)
 
 
 def expand(f: SymFunc, nvars: int) -> MonomialPoly:
     """Evaluate a q-free symmetric function in nvars variables via p_k -> sum x_i^k."""
     fp = f.to_powersum()
-    if nvars < fp.degree:
-        raise ValueError(f"need at least {fp.degree} variables to stay faithful")
-    return _powersum_sum(fp, nvars, lambda lam: _power_product(nvars, lam))
+    _check_room(nvars, fp.degree)
+    return _full(nvars, fp.degree, *_dominant(fp, _power_product))
 
 
 def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
     """Plethysm by brute substitution: the monomials of g become the alphabet of f.
 
-    g must expand with non-negative integer coefficients.  The result lives in
-    the same nvars variables, so it can be compared directly against
-    expand(f.pleth(g), nvars) whenever nvars >= deg(f) * deg(g).
+    g must expand with non-negative integer coefficients.  The result lives
+    in nvars >= deg(f) * deg(g) variables, so it can be compared directly
+    against expand(f.pleth(g), nvars).
     """
-    gm = expand(g, nvars)
-    if gm._d != 1 or any(c < 0 for c in gm._c.values()):
+    dg, deg = g.degree, f.degree * g.degree
+    _check_room(nvars, max(dg, deg))
+    gm, d = _dominant(g.to_powersum(), _power_product)
+    if d != 1 or any(v < 0 for v in gm.values()):
         raise ValueError("the inner operand must be monomial-positive")
-    one = MonomialPoly.constant(nvars, 1)
-    powers: dict[int, MonomialPoly] = {}
+    products = {(): {(): 1}}
 
     def product(lam):
-        prod = one
-        for a in lam:
-            if a not in powers:
-                powers[a] = gm.adams(a)
-            prod = prod * powers[a]
-        return prod
+        if lam not in products:
+            a = lam[0]
+            pa = {tuple(a * x for x in gam): v for gam, v in gm.items()}
+            products[lam] = _mul(pa, a * dg, product(lam[1:]), dg * (sum(lam) - a))
+        return products[lam]
 
-    return _powersum_sum(f.to_powersum(), nvars, product)
+    return _full(nvars, deg, *_dominant(f.to_powersum(), product))
 
 
 @cache

@@ -178,7 +178,7 @@ def run_oracles(
 ) -> SuiteResult:
     """Kernel against the independent paths: Jacobi-Trudi conversions up to
     degree 8, plethysm against monomial substitution (every s_lam o s_mu with
-    |lam|, |mu| <= 3, and every one of degree 8 with |lam|, |mu| >= 2),
+    |lam|, |mu| <= 3, and every one of degree 8 or 10 with |lam|, |mu| >= 2),
     products against expanded polynomial multiplication; and the recursion's
     Betti numbers for n <= n_max against Keel's recursion (full space) and
     the Eulerian numbers (Losev-Manin chamber E(n, 2, n-2))."""
@@ -217,10 +217,11 @@ def run_oracles(
         for lam in partitions_of(a)
         for mu in partitions_of(b)
     ]
-    # every s_lam o s_mu with |lam|, |mu| >= 2 and |lam||mu| = 8, in 8 variables
+    # every s_lam o s_mu with |lam|, |mu| >= 2 and |lam||mu| = 8 or 10, in as
+    # many variables
     pairs += [
         (lam, mu)
-        for a, b in ((2, 4), (4, 2))
+        for a, b in ((2, 4), (4, 2), (2, 5), (5, 2))
         for lam in partitions_of(a)
         for mu in partitions_of(b)
     ]

@@ -2,6 +2,7 @@
 the Jacobi-Trudi determinant."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,14 @@ def test_oracle_plethysm_symmetric_square():
     direct = oracle_plethysm(schur((2,)), schur((2,)), 4)
     kernel = expand(schur((2,)).pleth(schur((2,))), 4)
     assert direct == kernel
+
+
+def test_oracle_plethysm_needs_as_many_variables_as_the_degree():
+    # s_2 o s_2 has degree 4: in 2 or 3 variables it would lose terms
+    for nvars in (2, 3):
+        with pytest.raises(ValueError, match="need at least 4 variables"):
+            oracle_plethysm(schur((2,)), schur((2,)), nvars)
+    assert oracle_plethysm(schur((2,)), schur((2,)), 4).deg == 4
 
 
 def test_oracle_plethysm_requires_positive_inner():
@@ -185,3 +194,82 @@ def test_expand_rational_powersum_combination():
     m = expand(e3, 4)
     assert m == expand(schur((1, 1, 1)), 4)
     assert m.terms == {(0, 1, 1, 1): 1, (1, 0, 1, 1): 1, (1, 1, 0, 1): 1, (1, 1, 1, 0): 1}
+
+
+# -- the brute reference: sparse products in all N variables ----------------
+
+
+@cache
+def brute_power_product(nvars, lam):
+    """Product of power sums over a fixed variable count, shared by suffix."""
+    if not lam:
+        return MonomialPoly.constant(nvars, 1)
+    return MonomialPoly.power_sum(nvars, lam[0]) * brute_power_product(nvars, lam[1:])
+
+
+def brute_powersum_sum(fp, nvars, product):
+    """The sum of c * product(lam) over the terms c p_lam of a q-free fp."""
+    total = MonomialPoly(nvars)
+    for lam, c in fp.terms.items():
+        total = total + product(lam).scale(c.coeff(0))
+    return total
+
+
+def brute_expand(f, nvars):
+    return brute_powersum_sum(
+        f.to_powersum(), nvars, lambda lam: brute_power_product(nvars, lam)
+    )
+
+
+def brute_plethysm(f, g, nvars):
+    """p_a of the alphabet of g's monomials is the Adams operation x_i -> x_i^a."""
+    gm = brute_expand(g, nvars)
+    powers = {}
+
+    def product(lam):
+        prod = MonomialPoly.constant(nvars, 1)
+        for a in lam:
+            if a not in powers:
+                powers[a] = gm.adams(a)
+            prod = prod * powers[a]
+        return prod
+
+    return brute_powersum_sum(f.to_powersum(), nvars, product)
+
+
+def fields(m):
+    return m.nvars, m.deg, m._d, m._c
+
+
+def test_expand_matches_brute_reference():
+    for n in range(7):
+        for lam in partitions_of(n):
+            for nvars in (n, n + 1):
+                assert fields(expand(schur(lam), nvars)) == fields(brute_expand(schur(lam), nvars))
+
+
+def test_expand_matches_brute_reference_on_rational_combinations():
+    # denominators that do not cancel, and a sum that cancels to zero
+    f = schur((2, 1)) - Fraction(1, 3) * schur((1, 1, 1)) + Fraction(5, 2) * schur((3,))
+    for g in (f, f - f, powersum((2, 1)), powersum((3,)).scale(Fraction(-7, 6))):
+        assert fields(expand(g, 4)) == fields(brute_expand(g, 4))
+
+
+def test_oracle_plethysm_matches_brute_reference():
+    # every pair of degrees a, b with ab <= 6, the constant s_() included
+    for a in range(7):
+        for b in range(7):
+            if a * b > 6:
+                continue
+            nvars = max(a * b, b)
+            for lam in partitions_of(a):
+                for mu in partitions_of(b):
+                    f, g = schur(lam), schur(mu)
+                    direct = oracle_plethysm(f, g, nvars)
+                    assert fields(direct) == fields(brute_plethysm(f, g, nvars))
+
+
+@pytest.mark.parametrize("lam, mu", [((2,), (2, 1, 1)), ((1, 1), (4,)), ((2, 2), (1, 1))])
+def test_oracle_plethysm_matches_brute_reference_in_degree_8(lam, mu):
+    f, g = schur(lam), schur(mu)
+    assert fields(oracle_plethysm(f, g, 8)) == fields(brute_plethysm(f, g, 8))
