@@ -24,17 +24,45 @@ bases one integer numerator per power sum, divided by q^3 - q by integer
 synthetic division, and the fiber character.  The Kronecker projections
 and plethysms of a blow-up step depend only on (m, l) and are built once
 per process (`_blowup_kernel`).
+
+A level step, the operand plus or minus sum_m sum_nu sub.deriv_x(nu) *
+glued, is summed on integers (`_packed_sum`).  Every operand and kernel
+coefficient is packed once at q = 2^bits over one common denominator, so
+each product is one integer multiplication and each sum one integer
+addition.  The bits come from a bound fixed before packing, the sum of the
+absolute digits of every contribution times max |chi| per leg
+(`symfunc.digit_bits`), so the packed sum goes straight into the Schur
+conversion (`symfunc.convert_packed`).  It is decoded twice: from that
+conversion to Schur form for the checks, and as it stands to power sums
+for the next steps.
+
+Every stored key is checked (`_check_character`): all its Schur
+coefficients are effective, and its q^0 and q^(n-3) coefficients are each
+exactly the trivial character s_(k) (x) s_(n-k).  A cache file that fails
+the check raises CacheError.
 """
 
 import json
 import os
 import threading
 from functools import cache
+from math import lcm
 from pathlib import Path
 
-from .partitions import centralizer_order, partitions_of
+from .partitions import centralizer_order, partitions_of, split_factor, union
 from .qpoly import ExactDivisionError, QPoly
-from .symfunc import POWERSUM, SymFunc, _acc, complete, powersum
+from .symfunc import (
+    POWERSUM,
+    SCHUR,
+    Packed,
+    SymFunc,
+    common_denominator,
+    complete,
+    convert_packed,
+    digit_bits,
+    packed_norm,
+    powersum,
+)
 from .bigraded import BiSymFunc, restrict_full
 
 
@@ -198,18 +226,70 @@ def git_base_even(n: int) -> BiSymFunc:
 
 
 @cache
-def _blowup_kernel(m: int, l: int) -> tuple[tuple[tuple[int, ...], BiSymFunc], ...]:
-    """The pairs (nu, embed_y((p_nu * fiber) o h_(l+1))) that are not zero,
-    with the fiber of `blowup_fiber_character(m, l)`: a correction is the sum
-    of sub.deriv_x(nu) times the second entry.  Shared; do not mutate."""
+def _blowup_kernel(m: int, l: int):
+    """The glued characters of a blow-up step, with the fiber of
+    `blowup_fiber_character(m, l)`: a correction is the sum over nu of
+    sub.deriv_x(nu) times (p_nu * fiber) o h_(l+1) on the y-leg.
+
+    Returns (D, entries), D the lcm of all their denominators, and one entry
+    (nu, norm, terms) per nu whose plethysm is not zero: its y-terms
+    (partition, QPoly) and their `packed_norm` at D.  Shared; do not mutate.
+    """
     fiber = blowup_fiber_character(m, l)
     glue = complete(l + 1)
-    kernel = []
+    glued = []
     for nu in partitions_of(m):
         projected = powersum(nu).kron(fiber)
         if not projected.is_zero():
-            kernel.append((nu, BiSymFunc.embed_y(projected.pleth(glue))))
-    return tuple(kernel)
+            glued.append((nu, tuple(projected.pleth(glue).terms.items())))
+    scale = common_denominator(c for _, terms in glued for _, c in terms)
+    return scale, tuple(
+        (nu, sum(packed_norm(c, scale) for _, c in terms), terms) for nu, terms in glued
+    )
+
+
+def _packed_sum(degrees: tuple[int, int], terms: dict, corrections, sign: int) -> Packed:
+    """terms + sign * (the sum of `corrections`), packed for the conversion to
+    Schur form: `terms` are power-sum coefficients {(x, y): QPoly}, and each
+    correction is the (denominator, norm, add) of `_correction`.
+
+    The scale is the lcm of all denominators.  The bits per digit are fixed
+    before anything is packed, from the sum of the absolute digits of every
+    contribution (`packed_norm` of each term, and the norm of each
+    correction scaled to the common denominator), so that neither the sum
+    nor its Schur form can carry between digits (`digit_bits`).
+    """
+    polys = terms.values()
+    scale = lcm(common_denominator(polys), *(den for den, _, _ in corrections))
+    norm = sum(packed_norm(c, scale) for c in polys)
+    norm += sum(bound * (scale // den) for den, bound, _ in corrections)
+    bits = digit_bits(norm, SCHUR, degrees)
+    acc = {key: c.pack(scale, bits) for key, c in terms.items()}
+    for _, _, add in corrections:
+        add(acc, scale, bits, sign)
+    return Packed({key: x for key, x in acc.items() if x}, scale, bits)
+
+
+def _check_character(key, value: BiSymFunc) -> None:
+    """Raise ArithmeticError unless the Schur form `value` of E(key) is a
+    character of the cohomology: every coefficient is effective, and the
+    coefficients of q^0 and q^(n-3) are each exactly s_(k) (x) s_(n-k), since
+    H^0 and the top cohomology of the smooth projective (n-3)-fold are
+    trivial representations."""
+    n, k, _ = key
+    trivial = ((k,) if k else (), (n - k,) if n - k else ())
+    top = n - 3
+    for term, c in value.terms.items():
+        if not c.is_effective():
+            raise ArithmeticError(
+                f"E{key} is not effective; the recursion produced a non-character"
+            )
+        # Effective: `_c` holds the positive integer coefficients.
+        want = 1 if term == trivial else 0
+        if c._c.get(0, 0) != want or c._c.get(top, 0) != want:
+            raise ArithmeticError(f"E{key} has a nontrivial q^0 or q^{top} part at {term}")
+    if trivial not in value.terms:
+        raise ArithmeticError(f"E{key} lacks the trivial character in q^0 and q^{top}")
 
 
 class CharacterCalculator:
@@ -254,7 +334,9 @@ class CharacterCalculator:
             raise ValueError(f"m must lie in [1, {(n - k) // (l + 1)}]")
         if n - l * m < 3:
             raise ValueError("the blown-up stratum has no underlying moduli space")
-        return self._correction(n, k, m, l).to_schur()
+        degrees = (k, n - k)
+        packed = _packed_sum(degrees, {}, [self._correction(n, k, m, l)], 1)
+        return BiSymFunc._raw(SCHUR, k, n - k, convert_packed(packed, SCHUR, degrees))
 
     # -- the recursion -----------------------------------------------------
 
@@ -277,57 +359,104 @@ class CharacterCalculator:
             self._powersum[key] = working
         return working
 
-    def _evaluate(self, key) -> BiSymFunc:
+    def _evaluate(self, key):
+        """E(key) in power sums: a BiSymFunc, or the `Packed` sum of a level step."""
         n, k, l = key
         if n == 3:
             return BiSymFunc.tensor(complete(k), complete(3 - k))
         if k == n:
             return self._full_character(n).swap_legs()
         if k == 0:
-            r = base_level(n, 0)
-            if l >= r:
+            if l >= base_level(n, 0):
                 base = git_base_odd(n) if n % 2 else git_base_even(n)
                 return base.to_powersum()
-            terms = dict(self._operand(self.normalized_key(n, 0, l + 1)).terms)
-            for m in range(1, n // (l + 1) + 1):
-                assert n - l * m >= 3
-                for term, c in self._correction(n, 0, m, l).terms.items():
-                    _acc(terms, term, c)
-            return BiSymFunc._raw(POWERSUM, 0, n, terms)
+            return self._level_step(key, l + 1, l, 1)
         if l <= 2:
             return restrict_full(self._full_character(n).y_symfunc(), k)
-        terms = dict(self._operand(self.normalized_key(n, k, l - 1)).terms)
-        for m in range(1, (n - k) // l + 1):
-            assert n - (l - 1) * m >= 3
-            for term, c in self._correction(n, k, m, l - 1).terms.items():
-                _acc(terms, term, -c)
-        return BiSymFunc._raw(POWERSUM, k, n - k, terms)
+        return self._level_step(key, l - 1, l - 1, -1)
+
+    def _level_step(self, key, source: int, level: int, sign: int) -> Packed:
+        """E(key) from the same space at weight level `source`: that
+        character plus `sign` times every correction of `level`, summed
+        packed (`_packed_sum`)."""
+        n, k, _ = key
+        operand = self._operand(self.normalized_key(n, k, source))
+        corrections = [
+            self._correction(n, k, m, level) for m in range(1, (n - k) // (level + 1) + 1)
+        ]
+        return _packed_sum((k, n - k), operand.terms, corrections, sign)
 
     def _full_character(self, n: int) -> BiSymFunc:
         return self._operand(self.normalized_key(n, 0, 1))
 
-    def _correction(self, n: int, k: int, m: int, l: int) -> BiSymFunc:
+    def _correction(self, n: int, k: int, m: int, l: int):
         """Correction added when the weight crosses 1/(l+1): strata of m light
-        points colliding, glued along a smaller space with one extra heavy point."""
+        points colliding, glued along a smaller space with one extra heavy point.
+
+        It is the sum of sub.deriv_x(nu) * glued over the entries of
+        `_blowup_kernel(m, l)`, returned unevaluated as (denominator, norm,
+        add).  Its coefficients are integer polynomials over `denominator`.
+        Packed over `denominator`, the products it sums have absolute digits
+        that add up to at most `norm`.  add(acc, scale, bits, sign) adds
+        sign times the correction into the packed terms `acc`, for `scale` a
+        multiple of `denominator`; each product is one integer
+        multiplication.
+        """
+        assert n - l * m >= 3
         sub = self._operand(self.normalized_key(n - l * m, k + m, l + 1))
-        terms: dict = {}
-        for nu, glued in _blowup_kernel(m, l):
-            for term, c in (sub.deriv_x(nu) * glued).terms.items():
-                _acc(terms, term, c)
-        return BiSymFunc._raw(POWERSUM, k, n - k, terms)
+        glue_scale, kernel = _blowup_kernel(m, l)
+        sub_scale = common_denominator(sub.terms.values())
+        by_x: dict[tuple, list] = {}  # x-partition: [sub terms, their packed norm]
+        for term, c in sub.terms.items():
+            entry = by_x.setdefault(term[0], [[], 0])
+            entry[0].append(term)
+            entry[1] += packed_norm(c, sub_scale)
+        # sub.deriv_x(nu), term by term: {y: [(x rest, count, sub term)]} per nu
+        derivatives = []
+        norm = 0
+        for nu, glue_norm, glued in kernel:
+            found: dict[tuple, list] = {}
+            for lx, (terms, weight) in by_x.items():
+                hit = split_factor(lx, nu)
+                if hit is None:
+                    continue
+                rest, count = hit
+                for term in terms:
+                    found.setdefault(term[1], []).append((rest, count, term))
+                norm += count * weight * glue_norm
+            derivatives.append((found, glued))
+
+        def add(acc: dict, scale: int, bits: int, sign: int) -> None:
+            packed = {term: c.pack(sub_scale, bits) for term, c in sub.terms.items()}
+            get = acc.get
+            for found, glued in derivatives:
+                ys = [(gy, sign * g.pack(scale // sub_scale, bits)) for gy, g in glued]
+                for ly, hits in found.items():
+                    line = [(union(ly, gy), y) for gy, y in ys]
+                    for rest, count, term in hits:
+                        x = count * packed[term]
+                        for joined, y in line:
+                            key = (rest, joined)
+                            acc[key] = get(key, 0) + x * y
+
+        return sub_scale * glue_scale, norm, add
 
     # -- persistence ---------------------------------------------------------
 
-    def _store(self, key, value: BiSymFunc, from_disk: bool) -> None:
-        """Check that E(key) is effective and keep it; a computed value (in
-        power sums) is also kept in `_powersum` and written to the cache."""
+    def _store(self, key, value, from_disk: bool) -> None:
+        """Check E(key) (`_check_character`) and keep its Schur form; a
+        computed value, a BiSymFunc in power sums or the `Packed` sum of a
+        level step, is also kept in `_powersum` and written to the cache.  A
+        packed sum is decoded twice, once from its Schur conversion and once
+        as it stands, to power sums."""
         n, k, l = key
-        in_schur = value.to_schur()
-        for coeff in in_schur.terms.values():
-            if not coeff.is_effective():
-                raise ArithmeticError(
-                    f"E{key} is not effective; the recursion produced a non-character"
-                )
+        if isinstance(value, Packed):
+            degrees = (k, n - k)
+            in_schur = BiSymFunc._raw(SCHUR, k, n - k, convert_packed(value, SCHUR, degrees))
+            value = BiSymFunc._raw(POWERSUM, k, n - k, value.decode())
+        else:
+            in_schur = value.to_schur()
+        _check_character(key, in_schur)
         self._schur[key] = in_schur
         if from_disk:
             return

@@ -317,6 +317,15 @@ def _complete_homogeneous(k: int) -> dict[tuple[int, ...], int]:
     return out
 
 
+@cache
+def _times_complete(mu: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """p_mu times m! h_m, as pairs (partition, integer coefficient): each
+    merged key is sorted once per (mu, m), not once per determinant term."""
+    return tuple(
+        (tuple(sorted(mu + nu, reverse=True)), c) for nu, c in _complete_homogeneous(m).items()
+    )
+
+
 def jacobi_trudi_to_powersum(lam) -> SymFunc:
     """s_lam as the determinant det(h_(lam_i - i + j)), expanded on power sums.
 
@@ -344,8 +353,7 @@ def jacobi_trudi_to_powersum(lam) -> SymFunc:
             m = lam[i] - i + j
             nxt: dict[tuple[int, ...], int] = {}
             for mu1, c1 in prod.items():
-                for mu2, c2 in _complete_homogeneous(m).items():
-                    key = tuple(sorted(mu1 + mu2, reverse=True))
+                for key, c2 in _times_complete(mu1, m):
                     nxt[key] = nxt.get(key, 0) + c1 * c2
             # each used column left of j belongs to a lower row: one inversion
             flip = (used & ((1 << j) - 1)).bit_count() & 1

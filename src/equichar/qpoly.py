@@ -229,8 +229,10 @@ class QPoly:
         polynomial from any integer combination of packed values whose
         coefficients stay below 2^(bits-1) in absolute value.
         """
-        m = scale // self._d
-        return sum(v * m << (bits * k) for k, v in self._c.items())
+        x = 0
+        for k, v in self._c.items():
+            x += v << bits * k
+        return x * (scale // self._d)
 
     @classmethod
     def unpack(cls, x: int, bits: int, divisor: int) -> "QPoly":

@@ -4,17 +4,30 @@ The power-sum basis is the working basis: the ordinary product is a multiset
 union of indices, the Kronecker product is diagonal, plethysm stretches
 indices, and the normalized partial derivative acts monomial by monomial.
 The Schur basis is the presentation basis.  The change of basis goes through
-the characteristic map: `change_basis` treats one leg of a (multi-)symmetric
-function at a time, as an integer product with the character values
-chi^lam(mu) (power sums to Schur) or with the class sizes times character
-values, (n!/z_mu) chi^lam(mu) (Schur to power sums), on coefficients scaled
-to integers.  One exact division at the end restores the rationals.  The
-character values of S_n are held once per degree, in one flat `array('q')`
-in column-major order (`_table`), memoized globally.  Column mu = (a, nu)
-is built from column nu of the S_(n-a) table by adding border strips of a
-cells on an abacus (the Murnaghan-Nakayama rule).  `change_basis` reads
-the table in place: a column slice takes p_mu to Schur functions, a strided
-row slice times the class sizes n!/z_mu takes s_lam to power sums.
+the characteristic map, in two steps.  `pack_terms` brings the coefficients
+over one common denominator D and packs each one into a single integer,
+D p(2^bits) (`Packed`).  `convert_packed` then treats one leg of a
+(multi-)symmetric function at a time, as an integer product with the
+character values chi^lam(mu) (power sums to Schur) or with the class sizes
+times character values, (n!/z_mu) chi^lam(mu) (Schur to power sums); one
+exact division when the result is decoded restores the rationals.  A
+caller that already holds packed values, like the blow-up recursion, hands
+them straight to `convert_packed`.  The digits of the result must not
+carry, so `digit_bits` sizes them from a bound fixed before packing: the
+sum of the absolute digits of the input times, per leg, the largest
+absolute entry of the leg's matrix (max |chi| of S_n to Schur, max
+(n!/z_mu) |chi^lam(mu)| to power sums).  Each digit of a leg's output is a
+combination of input digits with weights from one row of that matrix, so
+it cannot exceed the bound, and a single input term at the largest entry
+reaches it.  For S_14 max |chi| is 69 498 (17 bits), where the older bound
+(n!)^2 took 73 bits per leg.  The character values of S_n are held once
+per degree, in one flat `array('q')` in column-major order (`_table`),
+memoized globally.  Column mu = (a, nu) is built from column nu of the
+S_(n-a) table by adding border strips of a cells on an abacus (the
+Murnaghan-Nakayama rule).  A leg reads the table in place: a column slice
+takes p_mu to Schur functions, a strided row slice times the class sizes
+n!/z_mu takes s_lam to power sums.  Only the rows lam at or before their
+conjugate lam' are read, since chi^lam'(mu) = sign(mu) chi^lam(mu).
 `character_table` and `character_value` are views of the same store.  The
 one-row Schur functions h_m have a closed form in power sums, `complete(m)`,
 which needs no table.
@@ -32,6 +45,7 @@ from math import factorial, lcm, prod
 from .partitions import (
     centralizer_order,
     check_partition,
+    conjugate,
     irrep_dimension,
     partitions_of,
     split_factor,
@@ -67,7 +81,7 @@ def _table(n: int) -> array:
     if not n:
         return array("q", [1])
     parts = partitions_of(n)
-    position = {_beads(lam, n): i for i, lam in enumerate(parts)}
+    position = {mask: i for i, mask in enumerate(_abacus(n))}
     strips: dict[tuple[int, int], tuple[list, list]] = {}
 
     def added(a, k):
@@ -75,7 +89,8 @@ def _table(n: int) -> array:
         a-strip, split by sign."""
         out = strips.get((a, k))
         if out is None:
-            mask = _beads(partitions_of(n - a)[k], n)
+            # the n - a beads of kappa moved up by a, over a beads for its zero parts
+            mask = _abacus(n - a)[k] << a | (1 << a) - 1
             between = (1 << (a - 1)) - 1
             out = ([], [])
             beads = mask & ~(mask >> a)  # the beads whose target b + a is empty
@@ -110,6 +125,12 @@ def _beads(lam, n: int) -> int:
 
 
 @cache
+def _abacus(n: int) -> tuple[int, ...]:
+    """`_beads(lam, n)` for lam in `partitions_of(n)`."""
+    return tuple(_beads(lam, n) for lam in partitions_of(n))
+
+
+@cache
 def _class_sizes(n: int) -> tuple[int, ...]:
     """n!/z_mu for mu in `partitions_of(n)`."""
     return tuple(factorial(n) // centralizer_order(mu) for mu in partitions_of(n))
@@ -133,54 +154,165 @@ def character_value(lam, mu) -> int:
     return _table(n)[index[mu] * len(index) + index[lam]]
 
 
-def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
-    """Rewrite {legs: QPoly} in the `target` basis, one leg at a time.
+class Packed:
+    """{legs: QPoly} as integers: each coefficient p is held as the integer
+    scale * p(2^bits), one base-2^bits digit per power of q.  Sums and
+    integer multiples of packed values stay exact, and `decode` recovers
+    the polynomials while every digit stays below 2^(bits-1) in absolute
+    value (`QPoly.pack`, `QPoly.unpack`)."""
 
-    Keys are tuples holding one partition per leg, of the sizes in `degrees`.
-    The integer numerators are brought over the lcm of the QPoly denominators
-    and packed into one integer per QPoly by substituting q = 2^bits.  Each
-    leg is then one integer product with the stored character table, read in
-    place: p_mu to Schur is column mu, s_lam to power sums is row lam times
-    the class sizes n!/z_mu.  The only division, by the scale and by the
-    product of the leg factorials, comes at the end, and a remainder there
-    leaves a non-integer coefficient.
+    __slots__ = ("terms", "scale", "bits")
+
+    def __init__(self, terms: dict, scale: int, bits: int):
+        self.terms, self.scale, self.bits = terms, scale, bits
+
+    def decode(self, divisor: int = 1) -> dict:
+        """{legs: QPoly}, each packed value divided by scale * divisor."""
+        d, bits = self.scale * divisor, self.bits
+        return {key: QPoly.unpack(x, bits, d) for key, x in self.terms.items()}
+
+
+@cache
+def _largest_entry(n: int, to_schur: bool) -> int:
+    """The largest absolute entry of the matrix a leg of degree n is
+    multiplied by: max |chi^lam(mu)| to Schur functions, max of
+    (n!/z_mu) |chi^lam(mu)| to power sums."""
+    table, size = _table(n), len(partitions_of(n))
+    if to_schur:
+        return max(max(table), -min(table))
+    columns = (table[j * size : (j + 1) * size] for j in range(size))
+    return max(max(max(c), -min(c)) * z for c, z in zip(columns, _class_sizes(n)))
+
+
+def common_denominator(polys) -> int:
+    """The lcm of the denominators of the QPolys in `polys` (1 for none)."""
+    return lcm(*(c._d for c in polys))
+
+
+def packed_norm(c: QPoly, scale: int) -> int:
+    """The sum of the absolute digits of c.pack(scale, bits), for any bits."""
+    return sum(map(abs, c._c.values())) * (scale // c._d)
+
+
+def digit_bits(norm: int, target: str, degrees: tuple[int, ...]) -> int:
+    """Bits per digit for packed values whose absolute digits, over every
+    term and power of q, sum to at most `norm`, so that they and their
+    conversion to `target` decode exactly.
+
+    Converting one leg replaces each value by a combination of values with
+    integer weights, the entries of one row of the leg's matrix (character
+    values, times class sizes to power sums).  A digit of the result is
+    therefore at most the largest absolute entry times the sum of the
+    absolute digits it combines, and over all legs at most `norm` times the
+    product of the largest entries.  That bound is reached: a single term
+    p_mu (or s_lam) with one digit, at the column (row) holding the largest
+    entry, gives exactly it.
+    """
+    to_schur = target == SCHUR
+    growth = prod(_largest_entry(d, to_schur) for d in degrees if d)
+    return (norm * growth).bit_length() + 1
+
+
+def pack_terms(terms: dict, target: str, degrees: tuple[int, ...]) -> Packed:
+    """Pack {legs: QPoly} over the lcm of its denominators, with the digit
+    size `digit_bits` chooses for the conversion to `target`."""
+    polys = terms.values()
+    scale = common_denominator(polys)
+    bits = digit_bits(sum(packed_norm(c, scale) for c in polys), target, degrees)
+    return Packed({key: c.pack(scale, bits) for key, c in terms.items()}, scale, bits)
+
+
+def convert_packed(packed: Packed, target: str, degrees: tuple[int, ...]) -> dict:
+    """{legs: QPoly} in the `target` basis from packed values in the other,
+    one leg at a time (`_convert_leg`).
+
+    Keys are tuples holding one partition per leg, of the sizes in
+    `degrees`.  The only division, by the scale and by the product of the
+    leg factorials, comes in the decoding at the end.  `packed.bits` must
+    come from `digit_bits` for this target.
     """
     to_schur = target == SCHUR
     divisor = 1 if to_schur else prod(factorial(d) for d in degrees)
-    polys = [c for c in terms.values() if c]
-    if not polys:
-        return {}
-    scale = lcm(*(c._d for c in polys))
-    divisor *= scale
-    height = max(max(map(abs, c._c.values())) * (scale // c._d) for c in polys)
-    # |chi^lam(mu)| and n!/z_mu are at most n!, so every output coefficient is
-    # below `bound` in absolute value and its base-2^bits digit cannot carry.
-    bound = sum(len(c._c) for c in polys) * height * prod(factorial(d) ** 2 for d in degrees)
-    bits = bound.bit_length() + 1
-    packed = {key: c.pack(scale, bits) for key, c in terms.items()}
+    terms = packed.terms
     for leg, degree in enumerate(degrees):
         if not degree:
             continue
-        parts, index, table = partitions_of(degree), _partition_index(degree), _table(degree)
-        size = len(parts)
+        parts = partitions_of(degree)
         groups: dict[tuple, list] = {}
-        for key, x in packed.items():
+        for key, x in terms.items():
             groups.setdefault(key[:leg] + key[leg + 1 :], []).append((key[leg], x))
-        packed = {}
+        terms = {}
         for rest, inputs in groups.items():
-            acc = [0] * size
-            for part, x in inputs:
-                j = index[part]
-                values = table[j * size : (j + 1) * size] if to_schur else table[j::size]
-                for i, w in enumerate(values):
-                    if w:
-                        acc[i] += w * x
-            if not to_schur:
-                acc = [x * z for x, z in zip(acc, _class_sizes(degree))]
-            for i, x in enumerate(acc):
+            for i, x in enumerate(_convert_leg(inputs, degree, to_schur)):
                 if x:
-                    packed[rest[:leg] + (parts[i],) + rest[leg:]] = x
-    return {key: QPoly.unpack(x, bits, divisor) for key, x in packed.items()}
+                    terms[rest[:leg] + (parts[i],) + rest[leg:]] = x
+    return Packed(terms, packed.scale, packed.bits).decode(divisor)
+
+
+@cache
+def _leg_layout(n: int):
+    """What `_convert_leg` reads for degree n: the position of each
+    partition in `partitions_of(n)`, the stored table, the positions i whose
+    conjugate sits at i' >= i, those i', and for every mu whether it is an
+    odd class (n - len(mu) odd)."""
+    parts, index = partitions_of(n), _partition_index(n)
+    pairs = [(i, index[conjugate(lam)]) for i, lam in enumerate(parts)]
+    half = [(i, j) for i, j in pairs if i <= j]
+    return (
+        index,
+        _table(n),
+        tuple(i for i, _ in half),
+        tuple(j for _, j in half),
+        tuple((n - len(mu)) % 2 == 1 for mu in parts),
+    )
+
+
+def _convert_leg(inputs, n: int, to_schur: bool) -> list:
+    """One leg of degree n: the integer products of the stored character
+    table with [(partition, packed value)], as a list over `partitions_of(n)`.
+
+    p_mu to Schur is column mu, read in place; s_lam to power sums is row
+    lam, a strided slice, times the class sizes n!/z_mu.  Both read only
+    the rows lam with lam <= lam' in the table's order, since
+    chi^lam'(mu) = sign(mu) chi^lam(mu): to Schur, the even and the odd
+    classes are summed apart and give lam as their sum and lam' as their
+    difference; to power sums, s_lam and s_lam' enter as the sum and the
+    difference of their values, on the even and the odd classes.
+    """
+    index, table, half, mirror, odd = _leg_layout(n)
+    size = len(index)
+    acc = [0] * size
+    if to_schur:
+        even_sum, odd_sum = [0] * size, [0] * size
+        for part, x in inputs:
+            j = index[part]
+            column, into = table[j * size : (j + 1) * size], odd_sum if odd[j] else even_sum
+            for i in half:
+                w = column[i]
+                if w:
+                    into[i] += w * x
+        for i, i2 in zip(half, mirror):
+            acc[i] = even_sum[i] + odd_sum[i]
+            if i2 != i:
+                acc[i2] = even_sum[i] - odd_sum[i]
+        return acc
+    values = [0] * size
+    for part, x in inputs:
+        values[index[part]] = x
+    for i, i2 in zip(half, mirror):
+        other = values[i2] if i2 != i else 0  # a self-conjugate lam vanishes on odd classes
+        plus, minus = values[i] + other, values[i] - other
+        if plus or minus:
+            for j, w in enumerate(table[i::size]):
+                if w:
+                    acc[j] += w * (minus if odd[j] else plus)
+    return [x * z for x, z in zip(acc, _class_sizes(n))]
+
+
+def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
+    """Rewrite {legs: QPoly} in the `target` basis: `pack_terms`, then
+    `convert_packed`."""
+    return convert_packed(pack_terms(terms, target, degrees), target, degrees)
 
 
 def pleth_leg(terms: dict, leg: int, inner: "SymFunc") -> dict:

@@ -1,6 +1,7 @@
 """Recursion engine tests: base levels, invariant-theory bases, fiber
 characters, the blow-up corrections, and the disk cache."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from equichar.moduli import (
 )
 from equichar.partitions import partitions_of
 from equichar.qpoly import ExactDivisionError, QPoly
-from equichar.symfunc import POWERSUM, SymFunc, complete, one, powersum, schur
+from equichar.symfunc import POWERSUM, Packed, SymFunc, complete, one, powersum, schur
 
 
 def test_base_level_values():
@@ -231,6 +232,64 @@ def test_corrections_match_definition():
     assert checked > 50
 
 
+def _reference_level_step(calc, key):
+    """E(key) as the operand plus or minus the corrections of its level,
+    each sum of deriv_x(nu) * glued added with QPoly arithmetic."""
+    n, k, l = key
+    source, level, sign = (l + 1, l, 1) if k == 0 else (l - 1, l - 1, -1)
+    total = calc.character(n, k, source).to_powersum()
+    for m in range(1, (n - k) // (level + 1) + 1):
+        correction = _reference_correction(calc, n, k, m, level)
+        total = total + correction if sign > 0 else total - correction
+    return total
+
+
+def _is_level_step(key):
+    n, k, l = key
+    if n == 3 or k == n:
+        return False
+    return l < base_level(n, 0) if k == 0 else l >= 3
+
+
+def test_level_steps_match_definition():
+    """Every level step with n <= 10, summed packed, equals the operand plus
+    or minus its corrections summed term by term."""
+    calc = CharacterCalculator()
+    keys = {
+        calc.normalized_key(n, k, l)
+        for n in range(3, 11)
+        for k in range(n + 1)
+        for l in range(1, base_level(n, k) + 1)
+    }
+    steps = sorted(key for key in keys if _is_level_step(key))
+    for key in sorted(keys - set(steps)):
+        assert not isinstance(calc._evaluate(key), Packed), key
+    for n, k, l in steps:
+        packed = calc._evaluate((n, k, l))
+        value = BiSymFunc._raw(POWERSUM, k, n - k, packed.decode())
+        assert value == _reference_level_step(calc, (n, k, l)), (n, k, l)
+    assert len(steps) == 83
+
+
+# sha256 of the compact Schur JSON of cold E(n, 0, 1),
+# json.dumps(value.to_json_dict(), separators=(",", ":")).  The golden table
+# stops at n = 8 and the benchmark gate at n = 14; these pin every byte of
+# the output for n = 13..16.
+FULL_CHARACTER_SHA256 = {
+    13: "63db061dd1fd6bd0e9d3da0160c2607a5d13cf78d5b7d7bc8f66f9fe4a964a26",
+    14: "b87b5346f1505b7c78fcd31c6c37d4a3d6ace63250bc5843dcd2d86d430a11a7",
+    15: "bdd2aa7166dbab14ba5e7673ad20d253c4c77a2e0b5ba7833f8e4d7ad825171d",
+    16: "f61d662492fe0dd2a43fe8eac548f9e02ace6bec86fe0e04cfe429ed3beb39fe",
+}
+
+
+def test_full_characters_13_to_16_are_frozen():
+    calc = CharacterCalculator()
+    for n, digest in FULL_CHARACTER_SHA256.items():
+        text = json.dumps(calc.character(n).to_json_dict(), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
 def test_normalized_key():
     calc = CharacterCalculator()
     assert calc.normalized_key(7, 0, 1) == (7, 0, 2)
@@ -359,6 +418,40 @@ def test_cache_rejects_tampered_coefficients(tmp_path):
         fresh = CharacterCalculator(cache_dir=tmp_path)
         with pytest.raises(CacheError, match="verification"):
             fresh.character(5)
+
+
+def test_cache_rejects_empty_terms(tmp_path):
+    """A file with no terms is not the zero character: H^0 is never zero."""
+    payload = {"v": 1, "n": 5, "k": 0, "l": 2, "basis": "schur", "bidegree": [0, 5], "terms": []}
+    (tmp_path / "E_5_0_2.json").write_text(json.dumps(payload))
+    with pytest.raises(CacheError, match="verification"):
+        CharacterCalculator(cache_dir=tmp_path).character(5)
+
+
+@pytest.mark.parametrize("edge", ["0", "2"])
+def test_cache_rejects_changed_edge_coefficient(tmp_path, edge):
+    """Effective edits of the q^0 or q^(n-3) coefficient (here n = 5) are
+    caught: both must be exactly the trivial character s_() (x) s_(5)."""
+    CharacterCalculator(cache_dir=tmp_path).character(5)
+    path = tmp_path / "E_5_0_2.json"
+    original = json.loads(path.read_text())
+    assert [t["y"] for t in original["terms"]] == [[4, 1], [5]]
+    for index, value in ((1, "2"), (0, "1")):  # the trivial term doubled; s_(4,1) gains it
+        payload = json.loads(json.dumps(original))
+        payload["terms"][index]["coeff"][edge] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CacheError, match="verification"):
+            CharacterCalculator(cache_dir=tmp_path).character(5)
+
+
+def test_edge_coefficients_of_every_chamber_key():
+    """The check `_store` applies, on every key with n <= 9: q^0 and q^(n-3)
+    carry exactly s_(k) (x) s_(n-k)."""
+    calc = _fill_cache(None, 9)
+    for (n, k, _), value in calc._schur.items():
+        trivial = ((k,) if k else (), (n - k,) if n - k else ())
+        for edge in (0, n - 3):
+            assert value.q_coefficient(edge).terms == {trivial: QPoly(1)}
 
 
 def test_cache_write_interrupted_partway(tmp_path, monkeypatch):

@@ -164,3 +164,12 @@ def test_cli_corrupt_cache_exit_code(tmp_path, capsys):
         path.write_text("{broken")
     assert main(["compute", "--n", "5", "--cache", str(cache)]) == 3
     assert "cache error" in capsys.readouterr().err
+
+
+def test_cli_empty_cache_file_exit_code(tmp_path, capsys):
+    payload = '{"v":1,"n":5,"k":0,"l":2,"basis":"schur","bidegree":[0,5],"terms":[]}'
+    (tmp_path / "E_5_0_2.json").write_text(payload)
+    assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fails verification" in captured.err

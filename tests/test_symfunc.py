@@ -14,9 +14,11 @@ from equichar.symfunc import (
     POWERSUM,
     SCHUR,
     SymFunc,
+    change_basis,
     character_table,
     character_value,
     one,
+    pack_terms,
     powersum,
     schur,
 )
@@ -131,6 +133,75 @@ def test_basis_round_trip_large_degree(n):
     assert f.to_powersum().to_schur().terms == f.terms
     g = SymFunc(POWERSUM, n, {mu: QPoly({0: Fraction(1, i + 2)}) for i, mu in enumerate(parts[3::11])})
     assert g.to_schur().to_powersum().terms == g.terms
+
+
+# --- the carry bound of change_basis, at its edge ---------------------------
+#
+# A single input term with one power of q, placed where the matrix of the
+# conversion has its largest entry (chi^lam(mu) to Schur functions,
+# (n!/z_mu) chi^lam(mu) to power sums) and signed so that the output digit
+# there is positive, makes that digit exactly the bound the packing is sized
+# for.  With one bit fewer per digit it would carry into the next one.
+
+
+def _largest_entry_position(n, to_schur):
+    """(lam, mu, entry) at the largest absolute entry of the matrix."""
+    table, parts = character_table(n), partitions_of(n)
+    best = ((), (), 0)
+    for i, lam in enumerate(parts):
+        for j, mu in enumerate(parts):
+            w = table[i][j] * (1 if to_schur else factorial(n) // centralizer_order(mu))
+            if abs(w) > abs(best[2]):
+                best = (lam, mu, w)
+    return best
+
+
+def _reference_change_basis(terms, target, degrees):
+    """The conversion in Fractions, straight from the character values."""
+    out = {}
+    for key, c in terms.items():
+        images = [((), Fraction(1))]
+        for part, d in zip(key, degrees):
+            step = []
+            for other in partitions_of(d):
+                if target == SCHUR:
+                    w = Fraction(character_value(other, part))
+                else:
+                    w = Fraction(character_value(part, other), centralizer_order(other))
+                if w:
+                    step.extend((head + (other,), v * w) for head, v in images)
+            images = step
+        for head, w in images:
+            for e, v in c.items():
+                slot = out.setdefault(head, {})
+                slot[e] = slot.get(e, 0) + v * w
+    return {key: {e: v for e, v in poly.items() if v} for key, poly in out.items()}
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+@pytest.mark.parametrize("target", [SCHUR, POWERSUM])
+def test_change_basis_carry_bound_is_tight(n, target):
+    to_schur = target == SCHUR
+    height, denominator = 10**12 + 39, 3**5 * 7
+    half = n // 2
+    legs = [
+        ((n,), [_largest_entry_position(n, to_schur)]),
+        ((half, n - half), [_largest_entry_position(d, to_schur) for d in (half, n - half)]),
+    ]
+    for degrees, spots in legs:
+        # the input index is mu to Schur (a column), lam to power sums (a row)
+        key = tuple(mu if to_schur else lam for lam, mu, _ in spots)
+        sign = 1
+        for _, _, w in spots:
+            sign *= 1 if w > 0 else -1
+        coeff = QPoly({3: Fraction(sign * height, denominator)})
+        terms = {key: coeff}
+        top = height
+        for _, _, w in spots:
+            top *= abs(w)
+        assert top >> (pack_terms(terms, target, degrees).bits - 2), "the bound is not reached"
+        got = {k: dict(c.items()) for k, c in change_basis(terms, target, degrees).items()}
+        assert got == _reference_change_basis({key: dict(coeff.items())}, target, degrees)
 
 
 def test_cross_basis_equality():
