@@ -17,7 +17,7 @@ from .partitions import (
     union,
 )
 from .qpoly import QPoly
-from .symfunc import POWERSUM, SCHUR, SymFunc, _acc, change_basis, pleth_leg
+from .symfunc import POWERSUM, SCHUR, SymFunc, _acc, change_basis
 
 
 class BiSymFunc:
@@ -64,16 +64,10 @@ class BiSymFunc:
         return cls._raw(POWERSUM, a.degree, b.degree, out)
 
     @classmethod
-    def embed_x(cls, f: SymFunc) -> "BiSymFunc":
-        from .symfunc import one
-
-        return cls.tensor(f, one())
-
-    @classmethod
     def embed_y(cls, f: SymFunc) -> "BiSymFunc":
-        from .symfunc import one
-
-        return cls.tensor(one(), f)
+        """f on the y-leg, in power sums, with an empty x-leg: 1 (x) f."""
+        g = f.to_powersum()
+        return cls._raw(POWERSUM, 0, g.degree, {((), ly): c for ly, c in g.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -172,12 +166,6 @@ class BiSymFunc:
             rest, count = hit
             _acc(out, (rest, ly), c * count)
         return BiSymFunc._raw(POWERSUM, f.xdeg - sum(nu), f.ydeg, out)
-
-    def pleth_y(self, inner: SymFunc) -> "BiSymFunc":
-        """Plethysm with `inner` applied to the y-leg of every monomial."""
-        f = self.to_powersum()
-        out = pleth_leg(f.terms, 1, inner)
-        return BiSymFunc._raw(POWERSUM, f.xdeg, f.ydeg * inner.degree, out)
 
     def swap_legs(self) -> "BiSymFunc":
         out = {(ly, lx): c for (lx, ly), c in self.terms.items()}

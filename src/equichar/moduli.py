@@ -4,14 +4,17 @@ of pointed rational curves, by the blow-up recursion.
 The spaces carry n marked points split into k heavy points (weight 1) and
 n-k light points (weight 1/l); their rational cohomology is a bigraded
 character E(n, k, l) of S_k x S_(n-k) with polynomial q-grading.  Walking l
-between its extremes connects every E(n, k, l) to one of two bases:
+between its extremes connects every E(n, k, l) to one of its bases:
 
+* the point, n = 3: h_k (x) h_(3-k);
 * the GIT quotient at the stable end for k = 0 (an exact division of a
-  product generating polynomial by q^3 - q),
-* the full moduli space itself at l <= 2, reached by restriction from the
-  k = 0 character.
+  product generating polynomial by q^3 - q);
+* the full moduli space itself at l <= 2, restricted from the k = 0
+  character to S_k x S_(n-k).  This also gives k = n, where every point is
+  heavy: the restriction to S_n x S_0 only swaps the legs.
 
-Keys with k >= 1 walk up from l <= 2, subtracting corrections.
+Keys with k = 0 walk down from the stable end and keys with k >= 1 walk up
+from l <= 2, adding or subtracting corrections.
 
 Each blow-up step along the way adds correction terms assembled from a
 smaller space, a Kronecker projection of the exceptional-fiber character,
@@ -26,15 +29,15 @@ and plethysms of a blow-up step depend only on (m, l) and are built once
 per process (`_blowup_kernel`).
 
 A level step, the operand plus or minus sum_m sum_nu sub.deriv_x(nu) *
-glued, is summed on integers (`_packed_sum`).  Every operand and kernel
-coefficient is packed once at q = 2^bits over one common denominator, so
-each product is one integer multiplication and each sum one integer
-addition.  The bits come from a bound fixed before packing, the sum of the
-absolute digits of every contribution times max |chi| per leg
-(`symfunc.digit_bits`), so the packed sum goes straight into the Schur
-conversion (`symfunc.convert_packed`).  It is decoded twice: from that
-conversion to Schur form for the checks, and as it stands to power sums
-for the next steps.
+glued, is summed on integers by `symfunc.pack_terms`, the one packer, which
+takes the corrections unevaluated (`_correction`).  Every operand and
+kernel coefficient is packed once at q = 2^bits over one common
+denominator, so each product is one integer multiplication and each sum
+one integer addition.  The bits come from a bound fixed before packing, so
+the packed sum goes straight into the Schur conversion
+(`symfunc.convert_packed`).  It is decoded twice: from that conversion to
+Schur form for the checks, and as it stands to power sums for the next
+steps.
 
 Every stored key is checked (`_check_character`): all its Schur
 coefficients are effective, and its q^0 and q^(n-3) coefficients are each
@@ -46,7 +49,6 @@ import json
 import os
 import threading
 from functools import cache
-from math import lcm
 from pathlib import Path
 
 from .partitions import centralizer_order, partitions_of, split_factor, union
@@ -59,7 +61,7 @@ from .symfunc import (
     common_denominator,
     complete,
     convert_packed,
-    digit_bits,
+    pack_terms,
     packed_norm,
     powersum,
 )
@@ -248,28 +250,6 @@ def _blowup_kernel(m: int, l: int):
     )
 
 
-def _packed_sum(degrees: tuple[int, int], terms: dict, corrections, sign: int) -> Packed:
-    """terms + sign * (the sum of `corrections`), packed for the conversion to
-    Schur form: `terms` are power-sum coefficients {(x, y): QPoly}, and each
-    correction is the (denominator, norm, add) of `_correction`.
-
-    The scale is the lcm of all denominators.  The bits per digit are fixed
-    before anything is packed, from the sum of the absolute digits of every
-    contribution (`packed_norm` of each term, and the norm of each
-    correction scaled to the common denominator), so that neither the sum
-    nor its Schur form can carry between digits (`digit_bits`).
-    """
-    polys = terms.values()
-    scale = lcm(common_denominator(polys), *(den for den, _, _ in corrections))
-    norm = sum(packed_norm(c, scale) for c in polys)
-    norm += sum(bound * (scale // den) for den, bound, _ in corrections)
-    bits = digit_bits(norm, SCHUR, degrees)
-    acc = {key: c.pack(scale, bits) for key, c in terms.items()}
-    for _, _, add in corrections:
-        add(acc, scale, bits, sign)
-    return Packed({key: x for key, x in acc.items() if x}, scale, bits)
-
-
 def _check_character(key, value: BiSymFunc) -> None:
     """Raise ArithmeticError unless the Schur form `value` of E(key) is a
     character of the cohomology: every coefficient is effective, and the
@@ -335,7 +315,7 @@ class CharacterCalculator:
         if n - l * m < 3:
             raise ValueError("the blown-up stratum has no underlying moduli space")
         degrees = (k, n - k)
-        packed = _packed_sum(degrees, {}, [self._correction(n, k, m, l)], 1)
+        packed = pack_terms({}, SCHUR, degrees, [self._correction(n, k, m, l)])
         return BiSymFunc._raw(SCHUR, k, n - k, convert_packed(packed, SCHUR, degrees))
 
     # -- the recursion -----------------------------------------------------
@@ -346,8 +326,7 @@ class CharacterCalculator:
         if value is None:
             value = self._load(key)
         if value is None:
-            self._store(key, self._evaluate(key), from_disk=False)
-            value = self._schur[key]
+            value = self._store(key, self._evaluate(key))
         return value
 
     def _operand(self, key) -> BiSymFunc:
@@ -364,43 +343,34 @@ class CharacterCalculator:
         n, k, l = key
         if n == 3:
             return BiSymFunc.tensor(complete(k), complete(3 - k))
-        if k == n:
-            return self._full_character(n).swap_legs()
         if k == 0:
             if l >= base_level(n, 0):
-                base = git_base_odd(n) if n % 2 else git_base_even(n)
-                return base.to_powersum()
+                return git_base_odd(n) if n % 2 else git_base_even(n)
             return self._level_step(key, l + 1, l, 1)
-        if l <= 2:
-            return restrict_full(self._full_character(n).y_symfunc(), k)
+        if l <= 2:  # also k = n, whose only level is 1
+            full = self._operand(self.normalized_key(n, 0, 1))
+            return restrict_full(full.y_symfunc(), k)
         return self._level_step(key, l - 1, l - 1, -1)
 
     def _level_step(self, key, source: int, level: int, sign: int) -> Packed:
         """E(key) from the same space at weight level `source`: that
         character plus `sign` times every correction of `level`, summed
-        packed (`_packed_sum`)."""
+        packed (`pack_terms`)."""
         n, k, _ = key
         operand = self._operand(self.normalized_key(n, k, source))
         corrections = [
             self._correction(n, k, m, level) for m in range(1, (n - k) // (level + 1) + 1)
         ]
-        return _packed_sum((k, n - k), operand.terms, corrections, sign)
-
-    def _full_character(self, n: int) -> BiSymFunc:
-        return self._operand(self.normalized_key(n, 0, 1))
+        return pack_terms(operand.terms, SCHUR, (k, n - k), corrections, sign)
 
     def _correction(self, n: int, k: int, m: int, l: int):
         """Correction added when the weight crosses 1/(l+1): strata of m light
         points colliding, glued along a smaller space with one extra heavy point.
 
         It is the sum of sub.deriv_x(nu) * glued over the entries of
-        `_blowup_kernel(m, l)`, returned unevaluated as (denominator, norm,
-        add).  Its coefficients are integer polynomials over `denominator`.
-        Packed over `denominator`, the products it sums have absolute digits
-        that add up to at most `norm`.  add(acc, scale, bits, sign) adds
-        sign times the correction into the packed terms `acc`, for `scale` a
-        multiple of `denominator`; each product is one integer
-        multiplication.
+        `_blowup_kernel(m, l)`, returned unevaluated as the addend
+        (denominator, norm, add) that `pack_terms` sums; each product is
+        one integer multiplication.
         """
         assert n - l * m >= 3
         sub = self._operand(self.normalized_key(n - l * m, k + m, l + 1))
@@ -443,12 +413,12 @@ class CharacterCalculator:
 
     # -- persistence ---------------------------------------------------------
 
-    def _store(self, key, value, from_disk: bool) -> None:
-        """Check E(key) (`_check_character`) and keep its Schur form; a
-        computed value, a BiSymFunc in power sums or the `Packed` sum of a
-        level step, is also kept in `_powersum` and written to the cache.  A
-        packed sum is decoded twice, once from its Schur conversion and once
-        as it stands, to power sums."""
+    def _store(self, key, value) -> BiSymFunc:
+        """Check the computed E(key) (`_check_character`), keep it in both
+        forms and write it to the cache; return its Schur form.  `value` is
+        a BiSymFunc in power sums or the `Packed` sum of a level step, which
+        is decoded twice, once from its Schur conversion and once as it
+        stands, to power sums."""
         n, k, l = key
         if isinstance(value, Packed):
             degrees = (k, n - k)
@@ -458,9 +428,7 @@ class CharacterCalculator:
             in_schur = value.to_schur()
         _check_character(key, in_schur)
         self._schur[key] = in_schur
-        if from_disk:
-            return
-        self._powersum[key] = value.to_powersum()
+        self._powersum[key] = value
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             payload = {"v": CACHE_SCHEMA_VERSION, "n": n, "k": k, "l": l}
@@ -474,8 +442,11 @@ class CharacterCalculator:
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
+        return in_schur
 
     def _load(self, key):
+        """The Schur form of E(key) from its cache file, checked
+        (`_check_character`) and kept in `_schur`; None on a miss."""
         if self.cache_dir is None:
             return None
         n, k, l = key
@@ -486,6 +457,8 @@ class CharacterCalculator:
             return None  # a miss, also when `cache --clear` removed the file just now
         except (OSError, json.JSONDecodeError) as exc:
             raise CacheError(f"unreadable cache file {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CacheError(f"cache file {path} does not hold a JSON object")
         if payload.get("v") != CACHE_SCHEMA_VERSION:
             raise CacheError(
                 f"cache schema mismatch in {path}: "
@@ -495,12 +468,14 @@ class CharacterCalculator:
             raise CacheError(f"cache file {path} describes a different key")
         try:
             value = BiSymFunc.from_json_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"malformed cache file {path}: {exc}") from exc
         if value.bidegree != (k, n - k):
             raise CacheError(f"cache file {path} has bidegree {value.bidegree}")
+        value = value.to_schur()
         try:
-            self._store(key, value, from_disk=True)
+            _check_character(key, value)
         except ArithmeticError as exc:
             raise CacheError(f"cache file {path} fails verification: {exc}") from exc
-        return self._schur[key]
+        self._schur[key] = value
+        return value

@@ -10,27 +10,30 @@ D p(2^bits) (`Packed`).  `convert_packed` then treats one leg of a
 (multi-)symmetric function at a time, as an integer product with the
 character values chi^lam(mu) (power sums to Schur) or with the class sizes
 times character values, (n!/z_mu) chi^lam(mu) (Schur to power sums); one
-exact division when the result is decoded restores the rationals.  A
-caller that already holds packed values, like the blow-up recursion, hands
-them straight to `convert_packed`.  The digits of the result must not
-carry, so `digit_bits` sizes them from a bound fixed before packing: the
-sum of the absolute digits of the input times, per leg, the largest
-absolute entry of the leg's matrix (max |chi| of S_n to Schur, max
-(n!/z_mu) |chi^lam(mu)| to power sums).  Each digit of a leg's output is a
-combination of input digits with weights from one row of that matrix, so
-it cannot exceed the bound, and a single input term at the largest entry
+exact division when the result is decoded restores the rationals.
+
+`pack_terms` is the one packer.  The blow-up recursion also hands it the
+sums of a level step unevaluated, so each of their products is one integer
+multiplication, and the packed sum goes to `convert_packed`.  The digits of
+the result must not carry, so `digit_bits` sizes them from a bound fixed
+before packing: the sum of the absolute digits of the input times, per leg,
+the largest absolute entry of the leg's matrix (max |chi| of S_n to Schur,
+max (n!/z_mu) |chi^lam(mu)| to power sums).  Each digit of a leg's output
+is a combination of input digits with weights from one row of that matrix,
+so it cannot exceed the bound, and a single input term at the largest entry
 reaches it.  For S_14 max |chi| is 69 498 (17 bits), where the older bound
-(n!)^2 took 73 bits per leg.  The character values of S_n are held once
-per degree, in one flat `array('q')` in column-major order (`_table`),
-memoized globally.  Column mu = (a, nu) is built from column nu of the
-S_(n-a) table by adding border strips of a cells on an abacus (the
-Murnaghan-Nakayama rule).  A leg reads the table in place: a column slice
-takes p_mu to Schur functions, a strided row slice times the class sizes
-n!/z_mu takes s_lam to power sums.  Only the rows lam at or before their
-conjugate lam' are read, since chi^lam'(mu) = sign(mu) chi^lam(mu).
-`character_table` and `character_value` are views of the same store.  The
-one-row Schur functions h_m have a closed form in power sums, `complete(m)`,
-which needs no table.
+(n!)^2 took 73 bits per leg.
+
+The character values of S_n are held once per degree, in one flat
+`array('q')` in column-major order (`_table`), memoized globally.  Column
+mu = (a, nu) is built from column nu of the S_(n-a) table by adding border
+strips of a cells on an abacus (the Murnaghan-Nakayama rule).  A leg reads
+the table in place: a column slice takes p_mu to Schur functions, a strided
+row slice times the class sizes n!/z_mu takes s_lam to power sums.  Only
+the rows lam at or before their conjugate lam' are read, since
+chi^lam'(mu) = sign(mu) chi^lam(mu).  `character_table` and
+`character_value` are views of the same store.  The one-row Schur functions
+h_m have a closed form in power sums, `complete(m)`, which needs no table.
 
 Plethysm twists the grading variable: p_a composed with q^k p_mu gives
 q^(a*k) p_(a*mu), while q-coefficients of the outer operand pass through
@@ -213,13 +216,30 @@ def digit_bits(norm: int, target: str, degrees: tuple[int, ...]) -> int:
     return (norm * growth).bit_length() + 1
 
 
-def pack_terms(terms: dict, target: str, degrees: tuple[int, ...]) -> Packed:
-    """Pack {legs: QPoly} over the lcm of its denominators, with the digit
-    size `digit_bits` chooses for the conversion to `target`."""
+def pack_terms(
+    terms: dict, target: str, degrees: tuple[int, ...], addends=(), sign: int = 1
+) -> Packed:
+    """Pack {legs: QPoly}, plus `sign` times each addend, over the lcm of all
+    denominators, for the conversion to `target`.
+
+    An addend is a sum left unevaluated, a triple (denominator, norm, add):
+    its coefficients are integer polynomials over `denominator` whose packed
+    digits sum to at most `norm` in absolute value, and
+    add(acc, scale, bits, sign) adds sign times it into the packed values
+    `acc`, for `scale` a multiple of `denominator`.  `digit_bits` fixes the
+    bits per digit before anything is packed, from the norms of all the
+    terms and addends, so neither the sum nor its conversion carries
+    between digits.
+    """
     polys = terms.values()
-    scale = common_denominator(polys)
-    bits = digit_bits(sum(packed_norm(c, scale) for c in polys), target, degrees)
-    return Packed({key: c.pack(scale, bits) for key, c in terms.items()}, scale, bits)
+    scale = lcm(common_denominator(polys), *(den for den, _, _ in addends))
+    norm = sum(packed_norm(c, scale) for c in polys)
+    norm += sum(bound * (scale // den) for den, bound, _ in addends)
+    bits = digit_bits(norm, target, degrees)
+    acc = {key: c.pack(scale, bits) for key, c in terms.items()}
+    for _, _, add in addends:
+        add(acc, scale, bits, sign)
+    return Packed({key: x for key, x in acc.items() if x}, scale, bits)
 
 
 def convert_packed(packed: Packed, target: str, degrees: tuple[int, ...]) -> dict:
@@ -315,41 +335,6 @@ def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
     return convert_packed(pack_terms(terms, target, degrees), target, degrees)
 
 
-def pleth_leg(terms: dict, leg: int, inner: "SymFunc") -> dict:
-    """Plethysm with `inner` applied to position `leg` of every key of {legs: QPoly}.
-
-    Indices of the inner operand are stretched along with its q-powers
-    (p_a o q^k p_mu = q^(ak) p_(a mu)); the outer coefficients are inert.
-    """
-    g = inner.to_powersum()
-    power_cache: dict[int, dict] = {}
-    out: dict[tuple, QPoly] = {}
-    for key, c in terms.items():
-        running = None
-        for a in key[leg]:
-            pa = power_cache.get(a)
-            if pa is None:
-                pa = {
-                    tuple(x * a for x in mu): qc.stretch(a)
-                    for mu, qc in g.terms.items()
-                }
-                power_cache[a] = pa
-            if running is None:
-                running = pa
-                continue
-            nxt: dict[tuple[int, ...], QPoly] = {}
-            for k1, c1 in running.items():
-                for k2, c2 in pa.items():
-                    _acc(nxt, union(k1, k2), c1 * c2)
-            running = nxt
-        if running is None:  # the empty leg: p_() o g = 1
-            running = {(): QPoly(1)}
-        head, tail = key[:leg], key[leg + 1 :]
-        for nu, qc in running.items():
-            _acc(out, head + (nu,) + tail, qc * c)
-    return out
-
-
 def _acc(terms: dict, key, value: QPoly) -> None:
     s = terms.get(key)
     s = value if s is None else s + value
@@ -390,12 +375,6 @@ class SymFunc:
 
     def coeff(self, lam) -> QPoly:
         return self.terms.get(tuple(lam), QPoly(0))
-
-    def support(self):
-        """Partitions with nonzero coefficient, largest first under compare."""
-        from .partitions import sort_key
-
-        return sorted(self.terms, key=sort_key, reverse=True)
 
     # -- ring structure -------------------------------------------------
 
@@ -502,11 +481,33 @@ class SymFunc:
         Indices of the inner operand are stretched along with its q-powers
         (p_a o q^k p_mu = q^(ak) p_(a mu)); outer q-coefficients are inert.
         """
-        f = self.to_powersum()
-        out = pleth_leg({(lam,): c for lam, c in f.terms.items()}, 0, inner)
+        f, g = self.to_powersum(), inner.to_powersum()
+        power_cache: dict[int, dict] = {}
+        out: dict[tuple[int, ...], QPoly] = {}
+        for lam, c in f.terms.items():
+            running = None
+            for a in lam:
+                pa = power_cache.get(a)
+                if pa is None:
+                    pa = {
+                        tuple(x * a for x in mu): qc.stretch(a)
+                        for mu, qc in g.terms.items()
+                    }
+                    power_cache[a] = pa
+                if running is None:
+                    running = pa
+                    continue
+                nxt: dict[tuple[int, ...], QPoly] = {}
+                for k1, c1 in running.items():
+                    for k2, c2 in pa.items():
+                        _acc(nxt, union(k1, k2), c1 * c2)
+                running = nxt
+            if running is None:  # the empty partition: p_() o g = 1
+                running = {(): QPoly(1)}
+            for nu, qc in running.items():
+                _acc(out, nu, qc * c)
         res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree = POWERSUM, f.degree * inner.degree
-        res.terms = {key[0]: c for key, c in out.items()}
+        res.basis, res.degree, res.terms = POWERSUM, f.degree * inner.degree, out
         return res
 
     def pderiv(self, lam) -> "SymFunc":

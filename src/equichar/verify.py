@@ -124,7 +124,7 @@ class SuiteResult:
         }
 
 
-def run_paper_examples(calc: CharacterCalculator | None = None, n_max: int = 0) -> SuiteResult:
+def run_paper_examples(calc: CharacterCalculator | None = None) -> SuiteResult:
     """Recompute every frozen closed form through the recursion."""
     calc = calc or CharacterCalculator()
     result = SuiteResult("paper-examples")

@@ -1,5 +1,5 @@
 """Two-leg symmetric functions: tensor construction, restriction, induction,
-leg plethysm, and serialization."""
+leg derivatives, and serialization."""
 
 from fractions import Fraction
 
@@ -28,7 +28,6 @@ def test_tensor_and_legs():
 def test_embed_x_embed_y():
     g = schur((2, 1))
     assert BiSymFunc.embed_y(g).bidegree == (0, 3)
-    assert BiSymFunc.embed_x(g).bidegree == (3, 0)
     assert BiSymFunc.embed_y(g).y_symfunc() == g
 
 
@@ -86,12 +85,6 @@ def test_deriv_x():
     f = BiSymFunc.tensor(powersum((2, 2)), powersum((1,)))
     g = f.deriv_x((2,))
     assert g.coeff((2,), (1,)) == QPoly(2)
-
-
-def test_pleth_y_stretches_y_leg_only():
-    f = BiSymFunc.tensor(powersum((1,)), powersum((2,)))
-    g = f.pleth_y(powersum((3,)))
-    assert g.coeff((1,), (6,)) == QPoly(1)
 
 
 def test_y_symfunc_requires_empty_x():

@@ -9,6 +9,7 @@ import pytest
 
 from equichar import bigraded, moduli, symfunc
 from equichar.bigraded import BiSymFunc
+from equichar.cli import main
 from equichar.moduli import (
     CacheError,
     CharacterCalculator,
@@ -309,11 +310,14 @@ def test_levels_collapse_to_same_character():
 
 def test_point_and_swap():
     calc = CharacterCalculator()
-    e3 = calc.character(3, 2, 3)
-    assert e3 == BiSymFunc.tensor(schur((2,)), schur((1,)))
+    # three points: the point, h_k (x) h_(3-k) at every level
+    for k in range(4):
+        point = BiSymFunc.tensor(*(schur((d,)) if d else one() for d in (k, 3 - k)))
+        for l in range(1, 4):
+            assert calc.character(3, k, l) == point, (k, l)
     # all points heavy: same space as all points light, legs swapped
-    full = calc.character(5, 0, 1)
-    assert calc.character(5, 5, 1) == full.swap_legs()
+    for n in range(3, 11):
+        assert calc.character(n, n, 1) == calc.character(n, 0, 1).swap_legs(), n
 
 
 def test_heavy_light_projective_space():
@@ -426,6 +430,33 @@ def test_cache_rejects_empty_terms(tmp_path):
     (tmp_path / "E_5_0_2.json").write_text(json.dumps(payload))
     with pytest.raises(CacheError, match="verification"):
         CharacterCalculator(cache_dir=tmp_path).character(5)
+
+
+def _with_coeff(payload, coeff):
+    payload["terms"][0]["coeff"] = coeff
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda payload: [], id="list"),
+        pytest.param(lambda payload: None, id="null"),
+        pytest.param(lambda payload: 5, id="number"),
+        pytest.param(lambda payload: _with_coeff(payload, ["0", "1"]), id="coeff-list"),
+        pytest.param(lambda payload: _with_coeff(payload, "1"), id="coeff-string"),
+    ],
+)
+def test_cache_rejects_malformed_json(tmp_path, capsys, edit):
+    """Valid JSON of the wrong shape, a file that is not an object or a
+    coefficient that is not one, is a CacheError, and `compute` exits 3."""
+    CharacterCalculator(cache_dir=tmp_path).character(5)
+    path = tmp_path / "E_5_0_2.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(CacheError, match="JSON object|malformed"):
+        CharacterCalculator(cache_dir=tmp_path).character(5)
+    assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
+    assert "cache error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edge", ["0", "2"])

@@ -1,9 +1,13 @@
-"""Rendering conventions and the command-line surface, including exit codes."""
+"""Rendering conventions, the command-line surface, including exit codes, and
+the names the package exports."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import equichar
 from equichar.bigraded import BiSymFunc
 from equichar.cli import main
 from equichar.qpoly import QPoly
@@ -173,3 +177,19 @@ def test_cli_empty_cache_file_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fails verification" in captured.err
+
+
+def test_package_exports():
+    """`__all__` is unique and sorted with `__version__` last, every name in
+    it resolves, and it holds every name the README imports from the package."""
+    names = equichar.__all__
+    assert len(set(names)) == len(names)
+    assert names[-1] == "__version__" and names[:-1] == sorted(names[:-1])
+    assert [name for name in names if not hasattr(equichar, name)] == []
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    imported = {
+        name.strip()
+        for line in re.findall(r"^from equichar import (.+)$", readme, re.MULTILINE)
+        for name in line.split(",")
+    }
+    assert imported and imported <= set(names), imported - set(names)
