@@ -124,8 +124,9 @@ def cmd_cache(args) -> int:
     files = sorted(directory.glob("E_*.json")) if directory.is_dir() else []
     if args.clear:
         # A writer killed before its rename leaves its temporary file behind.
+        # Another clear or a writer's rename may remove a file first.
         for path in files + sorted(directory.glob(".E_*.json.*.tmp")):
-            path.unlink()
+            path.unlink(missing_ok=True)
         print(f"removed {len(files)} cache files from {directory}")
     else:
         print(f"cache directory: {directory}")

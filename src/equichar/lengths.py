@@ -29,11 +29,17 @@ def rep_length(f: SymFunc) -> int:
     return max(len(lam) for lam in fs.terms)
 
 
+def length_bound(n: int, i: int) -> int:
+    """The length min(i+1, n-i-2) of the graded piece in degree i on n points."""
+    return min(i + 1, n - i - 2)
+
+
 def star_property(lam: tuple[int, ...], n: int, i: int) -> bool:
-    """Whether the first two column heights equal min(i+1, n-i-2) and a third column exists."""
+    """Whether the first two column heights equal `length_bound(n, i)` and a
+    third column exists."""
     if sum(lam) != n:
         raise ValueError("partition size must equal n")
-    bound = min(i + 1, n - i - 2)
+    bound = length_bound(n, i)
     conj = conjugate(lam)
     first = conj[0] if conj else 0
     second = conj[1] if len(conj) > 1 else 0
@@ -45,6 +51,12 @@ def exceptional_degrees(n: int) -> frozenset[int]:
     if n % 2 == 0:
         return frozenset({(n - 4) // 2, (n - 2) // 2})
     return frozenset({(n - 3) // 2})
+
+
+def star_applicable(n: int, i: int) -> bool:
+    """Whether the column test applies in degree i: the interior degrees
+    1..n-4 that are not exceptional."""
+    return 1 <= i <= n - 4 and i not in exceptional_degrees(n)
 
 
 def exceptional_lambda(n: int, i: int):
@@ -92,10 +104,10 @@ class LengthReport:
     rows: list[LengthRow]
 
     def bound(self, i: int) -> int:
-        return min(i + 1, self.n - i - 2)
+        return length_bound(self.n, i)
 
     def star_applicable(self, i: int) -> bool:
-        return 1 <= i <= self.n - 4 and i not in exceptional_degrees(self.n)
+        return star_applicable(self.n, i)
 
     def problems(self) -> list[str]:
         out = []
@@ -154,13 +166,12 @@ def length_theorem_report(n: int, calculator=None) -> LengthReport:
             if value.denominator != 1:
                 raise ArithmeticError(f"non-integer multiplicity at n={n}, i={i}")
             mult = int(value)
-        applicable = 1 <= i <= n - 4 and i not in special
         rows.append(
             LengthRow(
                 i=i,
                 length=rep_length(piece),
                 w=w,
-                star_holds=applicable and star_property(w, n, i),
+                star_holds=star_applicable(n, i) and star_property(w, n, i),
                 lambda_mult=mult,
             )
         )

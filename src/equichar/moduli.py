@@ -48,6 +48,7 @@ the check raises CacheError.
 import json
 import os
 import threading
+from contextlib import suppress
 from functools import cache
 from pathlib import Path
 
@@ -439,7 +440,11 @@ class CharacterCalculator:
             tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
             try:
                 tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
-                os.replace(tmp, path)
+                # `cache --clear` may remove the temporary file before its
+                # rename; then this write is skipped: the value is still
+                # served, and a later run computes the key again.
+                with suppress(FileNotFoundError):
+                    os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
         return in_schur

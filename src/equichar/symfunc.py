@@ -344,7 +344,66 @@ def _acc(terms: dict, key, value: QPoly) -> None:
         terms[key] = s
 
 
-class SymFunc:
+class _Terms:
+    """The linear structure `SymFunc` and `BiSymFunc` share: `terms`, a dict
+    {key: nonzero QPoly} in one `basis`, all of one (bi)degree.  A subclass
+    gives that (bi)degree as `_shape` and builds values of it unchecked with
+    `_new(basis, terms)`."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _sum(self, other):
+        """self + other, for values of the same class, basis and (bi)degree."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.basis != self.basis:
+            raise ValueError("cannot add across bases; convert first")
+        if other._shape != self._shape:
+            raise ValueError(f"cannot add degrees {self._shape} and {other._shape}")
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _acc(out, key, c)
+        return self._new(self.basis, out)
+
+    def __neg__(self):
+        return self._new(self.basis, {key: -c for key, c in self.terms.items()})
+
+    def scale(self, c):
+        qc = c if isinstance(c, QPoly) else QPoly(c)
+        out = {}
+        for key, v in self.terms.items():
+            s = v * qc
+            if not s.is_zero():
+                out[key] = s
+        return self._new(self.basis, out)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._shape != other._shape:
+            return False
+        if self.basis == other.basis:
+            return self.terms == other.terms
+        return self.to_powersum().terms == other.to_powersum().terms
+
+    def __hash__(self):
+        p = self.to_powersum()
+        return hash((p._shape, frozenset(p.terms.items())))
+
+    def q_coefficient(self, i: int):
+        """The coefficient of q^i, with constant coefficients."""
+        out = {}
+        for key, c in self.terms.items():
+            v = c.coeff(i)
+            if v:
+                out[key] = QPoly(v)
+        return self._new(self.basis, out)
+
+
+class SymFunc(_Terms):
     """A homogeneous symmetric function over Q[q] in a fixed basis."""
 
     __slots__ = ("basis", "degree", "terms")
@@ -367,50 +426,31 @@ class SymFunc:
         self.terms = clean
 
     @classmethod
+    def _raw(cls, basis, degree, terms):
+        res = cls.__new__(cls)
+        res.basis, res.degree, res.terms = basis, degree, terms
+        return res
+
+    def _new(self, basis, terms) -> "SymFunc":
+        return SymFunc._raw(basis, self.degree, terms)
+
+    @property
+    def _shape(self) -> int:
+        return self.degree
+
+    @classmethod
     def zero(cls, degree: int, basis: str = POWERSUM) -> "SymFunc":
         return cls(basis, degree, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coeff(self, lam) -> QPoly:
         return self.terms.get(tuple(lam), QPoly(0))
 
     # -- ring structure -------------------------------------------------
 
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if other.basis != self.basis:
-            raise ValueError("cannot add across bases; convert first")
-        if other.degree != self.degree:
-            raise ValueError("cannot add inhomogeneous degrees")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            _acc(out, lam, c)
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = self.basis, self.degree, out
-        return res
-
-    def __neg__(self) -> "SymFunc":
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree = self.basis, self.degree
-        res.terms = {lam: -c for lam, c in self.terms.items()}
-        return res
+    __add__ = _Terms._sum  # bound in the class body, where perfbench/spans.py patches it
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + (-other)
-
-    def scale(self, c) -> "SymFunc":
-        qc = c if isinstance(c, QPoly) else QPoly(c)
-        out = {}
-        for lam, v in self.terms.items():
-            s = v * qc
-            if not s.is_zero():
-                out[lam] = s
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = self.basis, self.degree, out
-        return res
 
     def __mul__(self, other):
         """Ordinary product in the ring of symmetric functions; scalars scale."""
@@ -423,24 +463,9 @@ class SymFunc:
         for lam, c in f.terms.items():
             for mu, d in g.terms.items():
                 _acc(out, union(lam, mu), c * d)
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = POWERSUM, f.degree + g.degree, out
-        return res
+        return SymFunc._raw(POWERSUM, f.degree + g.degree, out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if self.degree != other.degree:
-            return False
-        if self.basis == other.basis:
-            return self.terms == other.terms
-        return self.to_powersum().terms == other.to_powersum().terms
-
-    def __hash__(self):
-        p = self.to_powersum()
-        return hash((p.degree, frozenset(p.terms.items())))
 
     # -- basis changes ---------------------------------------------------
 
@@ -448,10 +473,7 @@ class SymFunc:
         if self.basis == target:
             return self
         out = change_basis({(lam,): c for lam, c in self.terms.items()}, target, (self.degree,))
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree = target, self.degree
-        res.terms = {key[0]: c for key, c in out.items()}
-        return res
+        return SymFunc._raw(target, self.degree, {key[0]: c for key, c in out.items()})
 
     def to_powersum(self) -> "SymFunc":
         return self._convert(POWERSUM)
@@ -471,9 +493,7 @@ class SymFunc:
             d = g.terms.get(lam)
             if d is not None:
                 out[lam] = c * d * centralizer_order(lam)
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = POWERSUM, f.degree, out
-        return res
+        return SymFunc._raw(POWERSUM, f.degree, out)
 
     def pleth(self, inner: "SymFunc") -> "SymFunc":
         """Plethysm self o inner.
@@ -506,9 +526,7 @@ class SymFunc:
                 running = {(): QPoly(1)}
             for nu, qc in running.items():
                 _acc(out, nu, qc * c)
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = POWERSUM, f.degree * inner.degree, out
-        return res
+        return SymFunc._raw(POWERSUM, f.degree * inner.degree, out)
 
     def pderiv(self, lam) -> "SymFunc":
         """Normalized partial derivative: (prod_i 1/m_i!) d/dp_lam, on monomials
@@ -522,63 +540,20 @@ class SymFunc:
                 continue
             rest, count = hit
             _acc(out, rest, c * count)
-        res = SymFunc.__new__(SymFunc)
-        res.basis, res.degree, res.terms = POWERSUM, f.degree - sum(lam), out
-        return res
+        return SymFunc._raw(POWERSUM, f.degree - sum(lam), out)
 
     # -- specializations ---------------------------------------------------
 
-    def q_coefficient(self, i: int) -> "SymFunc":
-        """The coefficient of q^i, a symmetric function with constant coefficients."""
-        out = {}
-        for lam, c in self.terms.items():
-            v = c.coeff(i)
-            if v:
-                out[lam] = QPoly(v)
-        return SymFunc(self.basis, self.degree, out)
-
     def dimension_poly(self) -> QPoly:
-        """Specialize each basis element to the dimension of its module.
-
-        On the Schur side this is the hook-length dimension; on the power-sum
-        side only p_(1^n) survives, with weight n!.  Both give the graded
-        dimension of the underlying representation.
-        """
+        """The graded dimension of the underlying representation: the sum of
+        c * f^lam over the Schur terms c s_lam, f^lam the hook-length
+        dimension."""
         if self.degree == 0:
             return self.terms.get((), QPoly(0))
-        if self.basis == SCHUR:
-            total = QPoly(0)
-            for lam, c in self.terms.items():
-                total = total + c * irrep_dimension(lam)
-            return total
-        ones = self.terms.get((1,) * self.degree)
-        if ones is None:
-            return QPoly(0)
-        return ones * factorial(self.degree)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        from .partitions import sort_key
-
-        fs = self.to_schur()
-        order = sorted(fs.terms, key=sort_key, reverse=True)
-        return {
-            "basis": SCHUR,
-            "degree": fs.degree,
-            "terms": [
-                {"part": list(lam), "coeff": fs.terms[lam].to_json_dict()}
-                for lam in order
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "SymFunc":
-        terms = {
-            check_partition(t["part"]): QPoly.from_json_dict(t["coeff"])
-            for t in data["terms"]
-        }
-        return cls(data["basis"], data["degree"], terms)
+        total = QPoly(0)
+        for lam, c in self.to_schur().terms.items():
+            total = total + c * irrep_dimension(lam)
+        return total
 
     def __str__(self) -> str:
         from .render import symfunc_text
@@ -609,9 +584,5 @@ def complete(m: int) -> SymFunc:
     """The one-row Schur function h_m = s_(m) in power sums, in closed form:
     h_m = sum over mu of m of p_mu / z_mu (Macdonald I.2), so no character
     table is built.  The value is shared; do not mutate its terms."""
-    res = SymFunc.__new__(SymFunc)
-    res.basis, res.degree = POWERSUM, m
-    res.terms = {
-        mu: QPoly.from_numerators({0: 1}, centralizer_order(mu)) for mu in partitions_of(m)
-    }
-    return res
+    terms = {mu: QPoly.from_numerators({0: 1}, centralizer_order(mu)) for mu in partitions_of(m)}
+    return SymFunc._raw(POWERSUM, m, terms)

@@ -98,6 +98,29 @@ def test_dimension_poly():
     assert f.dimension_poly() == QPoly({1: 4})
 
 
+def test_shared_linear_structure():
+    """SymFunc and BiSymFunc share sum, negation, scaling, equality, hash and
+    q-coefficients, and never mix with each other."""
+    f = (QPoly({2: 1, 0: 3}) * schur((2, 1)) + QPoly.q() * schur((3,))).to_powersum()
+    y = BiSymFunc.embed_y(f)
+    assert f != y and y != f
+    with pytest.raises(TypeError):
+        f + y
+    with pytest.raises(TypeError):
+        y + f
+    b = QPoly({1: 2}) * BiSymFunc.tensor(schur((2,)), schur((1, 1)))
+    b = b + BiSymFunc.tensor(schur((1, 1)), schur((2,)))
+    for g, shape, value in ((f, "degree", 3), (b, "bidegree", (2, 2))):
+        derived = [-g, g.scale(Fraction(-2, 3)), g.scale(QPoly.q()), g.scale(0)]
+        for h in derived + [g.q_coefficient(1), g.q_coefficient(7)]:
+            assert type(h) is type(g)
+            assert getattr(h, shape) == value
+        assert (g + -g).is_zero() and g.q_coefficient(7).is_zero()
+        assert g.to_schur() == g and hash(g) == hash(g.to_schur())
+    assert f.q_coefficient(2) == schur((2, 1))
+    assert b.q_coefficient(0) == BiSymFunc.tensor(schur((1, 1)), schur((2,)))
+
+
 @given(partitions(max_size=4, min_size=1), partitions(max_size=4, min_size=1))
 def test_json_round_trip(lx, ly):
     f = QPoly({1: 2, 0: 1}) * BiSymFunc.tensor(schur(lx), schur(ly))

@@ -527,6 +527,24 @@ def test_cache_file_removed_before_read(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.glob("E_*.json")} == expected
 
 
+def test_cache_clear_before_rename(tmp_path, monkeypatch):
+    """A `cache --clear` that removes a writer's temporary file between its
+    write and its rename skips that write: the value is still served, and
+    neither a cache file nor a temporary file is left behind."""
+    real_replace = moduli.os.replace
+
+    def clear_then_replace(src, dst):
+        main(["cache", "--clear", "--cache", str(tmp_path)])
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(moduli.os, "replace", clear_then_replace)
+    value = CharacterCalculator(cache_dir=tmp_path).character(5)
+    monkeypatch.undo()
+    assert value == CharacterCalculator().character(5)
+    assert list(tmp_path.glob("E_*.json")) == []
+    assert list(tmp_path.glob(".E_*.tmp")) == []
+
+
 def _fill_cache(cache_dir, n_max: int) -> CharacterCalculator:
     """Request every chamber E(n, k, l) with 3 <= n <= n_max, writing the cache."""
     calc = CharacterCalculator(cache_dir=cache_dir)

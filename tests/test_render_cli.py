@@ -150,6 +150,23 @@ def test_cli_cache_flow(tmp_path, capsys):
     assert "cache files: 0" in capsys.readouterr().out
 
 
+def test_cli_cache_clear_skips_vanished_files(tmp_path, monkeypatch, capsys):
+    """A file that another clear, or a writer's rename, removes after the
+    listing is skipped: `cache --clear` still exits 0."""
+    assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 0
+    (tmp_path / ".E_5_0_1.json.1-2.tmp").write_text("{}")
+    real_unlink = Path.unlink
+
+    def removed_first(path, missing_ok=False):
+        real_unlink(path)
+        real_unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", removed_first)
+    assert main(["cache", "--cache", str(tmp_path), "--clear"]) == 0
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_cache_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EQUICHAR_CACHE", str(tmp_path))
     assert main(["compute", "--n", "4"]) == 0

@@ -341,13 +341,7 @@ def test_dimension_agrees_across_bases(lam):
     assert f.dimension_poly() == f.to_powersum().dimension_poly()
 
 
-# --- serialization -----------------------------------------------------------
-
-
-@given(partitions(max_size=5, min_size=1))
-def test_json_round_trip(lam):
-    f = QPoly({2: 1, 0: 3}) * schur(lam) + powersum((1,) * sum(lam)).to_schur()
-    assert SymFunc.from_json_dict(f.to_json_dict()) == f
+# --- construction -------------------------------------------------------------
 
 
 def test_homogeneity_enforced():
