@@ -6,13 +6,15 @@ lands here via the normalized power-sum derivative.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from math import comb
+from operator import index
 
 from .partitions import (
     check_partition,
     irrep_dimension,
-    sort_key,
+    partitions_of,
     split_factor,
     union,
 )
@@ -163,30 +165,45 @@ class BiSymFunc(_Terms):
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The Schur form as JSON: terms ordered by the x-partition, then the
+        y-partition, each largest first under `partitions.compare`."""
         fs = self.to_schur()
-        order = sorted(fs.terms, key=lambda k: (sort_key(k[0]), sort_key(k[1])), reverse=True)
+        xs, ys = _positions(fs.xdeg), _positions(fs.ydeg)
+        order = sorted(fs.terms, key=lambda k: (xs[k[0]], ys[k[1]]))
         return {
             "basis": SCHUR,
             "bidegree": [fs.xdeg, fs.ydeg],
             "terms": [
-                {
-                    "x": list(key[0]),
-                    "y": list(key[1]),
-                    "coeff": fs.terms[key].to_json_dict(),
-                }
-                for key in order
+                {"x": list(lx), "y": list(ly), "coeff": fs.terms[lx, ly].to_json_dict()}
+                for lx, ly in order
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data) -> "BiSymFunc":
-        xdeg, ydeg = data["bidegree"]
+        """Parse `to_json_dict` output, in either basis.  Each leg must be a
+        partition of its degree, looked up among `partitions_of` (a part
+        such as 4.9 matches none; 4.0 reads as 4), and a repeated term raises
+        ValueError; terms with a zero coefficient are dropped."""
+        basis = data["basis"]
+        if basis not in (POWERSUM, SCHUR):
+            raise ValueError(f"unknown basis {basis!r}")
+        xdeg, ydeg = map(index, data["bidegree"])
+        xs, ys = _positions(xdeg), _positions(ydeg)
+        xparts, yparts = partitions_of(xdeg), partitions_of(ydeg)
         terms = {}
         for t in data["terms"]:
-            lx = check_partition(t["x"]) if t["x"] else ()
-            ly = check_partition(t["y"]) if t["y"] else ()
-            terms[(lx, ly)] = QPoly.from_json_dict(t["coeff"])
-        return cls(data["basis"], xdeg, ydeg, terms)
+            lx, ly = t["x"], t["y"]
+            try:
+                key = (xparts[xs[tuple(lx)]], yparts[ys[tuple(ly)]])
+            except KeyError:
+                raise ValueError(
+                    f"term {(lx, ly)} is no pair of partitions of {(xdeg, ydeg)}"
+                ) from None
+            if key in terms:
+                raise ValueError(f"repeated term {key}")
+            terms[key] = QPoly.from_json_dict(t["coeff"])
+        return cls._raw(basis, xdeg, ydeg, {key: c for key, c in terms.items() if c})
 
     def __str__(self) -> str:
         from .render import bisymfunc_text
@@ -197,6 +214,12 @@ class BiSymFunc(_Terms):
         return (
             f"BiSymFunc({self.basis}, bidegree={self.bidegree}, {len(self.terms)} terms)"
         )
+
+
+@cache
+def _positions(n: int) -> dict[tuple[int, ...], int]:
+    """Each partition of n mapped to its index in `partitions_of(n)`."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
 def restrict_full(f: SymFunc, k: int) -> BiSymFunc:

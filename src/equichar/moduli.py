@@ -253,10 +253,10 @@ def _blowup_kernel(m: int, l: int):
 
 def _check_character(key, value: BiSymFunc) -> None:
     """Raise ArithmeticError unless the Schur form `value` of E(key) is a
-    character of the cohomology: every coefficient is effective, and the
-    coefficients of q^0 and q^(n-3) are each exactly s_(k) (x) s_(n-k), since
-    H^0 and the top cohomology of the smooth projective (n-3)-fold are
-    trivial representations."""
+    character of the cohomology: every coefficient is effective and lives in
+    degrees 0..n-3, and the coefficients of q^0 and q^(n-3) are each exactly
+    s_(k) (x) s_(n-k), since H^0 and the top cohomology of the smooth
+    projective (n-3)-fold are trivial representations."""
     n, k, _ = key
     trivial = ((k,) if k else (), (n - k,) if n - k else ())
     top = n - 3
@@ -266,9 +266,12 @@ def _check_character(key, value: BiSymFunc) -> None:
                 f"E{key} is not effective; the recursion produced a non-character"
             )
         # Effective: `_c` holds the positive integer coefficients.
+        coeffs = c._c
         want = 1 if term == trivial else 0
-        if c._c.get(0, 0) != want or c._c.get(top, 0) != want:
+        if coeffs.get(0, 0) != want or coeffs.get(top, 0) != want:
             raise ArithmeticError(f"E{key} has a nontrivial q^0 or q^{top} part at {term}")
+        if coeffs and max(coeffs) > top:
+            raise ArithmeticError(f"E{key} has a q^{max(coeffs)} part above q^{top} at {term}")
     if trivial not in value.terms:
         raise ArithmeticError(f"E{key} lacks the trivial character in q^0 and q^{top}")
 
@@ -471,12 +474,16 @@ class CharacterCalculator:
             )
         if (payload.get("n"), payload.get("k"), payload.get("l")) != key:
             raise CacheError(f"cache file {path} describes a different key")
+        # Checked before parsing, which enumerates the partitions of each degree.
+        if payload.get("bidegree") != [k, n - k]:
+            raise CacheError(
+                f"malformed cache file {path}: bidegree {payload.get('bidegree')!r}, "
+                f"want {[k, n - k]}"
+            )
         try:
             value = BiSymFunc.from_json_dict(payload)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"malformed cache file {path}: {exc}") from exc
-        if value.bidegree != (k, n - k):
-            raise CacheError(f"cache file {path} has bidegree {value.bidegree}")
         value = value.to_schur()
         try:
             _check_character(key, value)

@@ -7,11 +7,14 @@ so values can be shared freely between threads.
 
 from functools import cache
 from math import comb, factorial
+from operator import index
 
 
 def check_partition(parts) -> tuple[int, ...]:
-    """Coerce an iterable to a partition tuple, rejecting invalid shapes."""
-    lam = tuple(int(a) for a in parts)
+    """Coerce an iterable of integers to a partition tuple, rejecting invalid
+    shapes; a part that is not an integer, such as 2.5 or "3", raises
+    TypeError."""
+    lam = tuple(map(index, parts))
     for i, a in enumerate(lam):
         if a < 1:
             raise ValueError(f"partition parts must be positive: {lam}")

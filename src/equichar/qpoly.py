@@ -13,11 +13,8 @@ The public readers (`coeff`, `items`, `evaluate`, JSON) give reduced
 `Fraction` values; text and LaTeX are written by `render`.
 """
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
-
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class ExactDivisionError(ArithmeticError):
@@ -257,24 +254,38 @@ class QPoly:
 
     def is_effective(self) -> bool:
         """True when every coefficient is a non-negative integer."""
-        return self._d == 1 and all(v > 0 for v in self._c.values())
+        return self._d == 1 and (not self._c or min(self._c.values()) > 0)
 
     def to_json_dict(self) -> dict[str, str]:
-        if self._d == 1:
-            return {str(k): str(v) for k, v in sorted(self._c.items())}
-        return {str(k): rat_str(v) for k, v in self.items()}
+        d = self._d
+        return {
+            str(k): str(v) if d == 1 else rat_str(Fraction(v, d))
+            for k, v in sorted(self._c.items())
+        }
 
     @classmethod
     def from_json_dict(cls, data) -> "QPoly":
-        """Parse `to_json_dict` output.  Integer strings, the only kind a
-        character's Schur coefficients take, are read with `int`; any other
-        value goes through `parse_rat`, so both accept the same input."""
-        if all(isinstance(v, str) and _INTEGER.fullmatch(v) for v in data.values()):
-            c = {int(k): int(v) for k, v in data.items()}
-            if any(k < 0 for k in c):
+        """Parse `to_json_dict` output.  Integer strings (`-?[0-9]+`), the
+        only kind a character's Schur coefficients take, are read with `int`;
+        a polynomial with any other value goes through `parse_rat`, so both
+        accept the same input."""
+        c = {}
+        for k, v in data.items():
+            if not (
+                isinstance(v, str)
+                and v.isascii()
+                and (v.isdigit() or v[:1] == "-" and v[1:].isdigit())
+            ):
+                return cls({int(k): parse_rat(v) for k, v in data.items()})
+            k = int(k)
+            if k < 0:
                 raise ValueError("negative q-exponents are not supported")
-            return _make({k: v for k, v in c.items() if v}, 1)
-        return cls({int(k): parse_rat(v) for k, v in data.items()})
+            v = int(v)
+            if v:
+                c[k] = v
+            else:
+                c.pop(k, None)  # as the `parse_rat` path reads {"0": "1", "00": "0"}
+        return _make(c, 1)
 
     def __str__(self) -> str:
         from .render import qpoly_text

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from equichar.bigraded import BiSymFunc, restrict_full
 from equichar.moduli import CharacterCalculator
-from equichar.partitions import irrep_dimension, partitions_of
+from equichar.partitions import irrep_dimension, partitions_of, sort_key
 from equichar.qpoly import QPoly
 from equichar.symfunc import POWERSUM, SCHUR, SymFunc, powersum, schur
 
@@ -125,6 +125,32 @@ def test_shared_linear_structure():
 def test_json_round_trip(lx, ly):
     f = QPoly({1: 2, 0: 1}) * BiSymFunc.tensor(schur(lx), schur(ly))
     assert BiSymFunc.from_json_dict(f.to_json_dict()) == f
+
+
+@st.composite
+def schur_bisymfuncs(draw, max_size=5):
+    xdeg = draw(st.integers(0, max_size))
+    ydeg = draw(st.integers(0, max_size))
+    keys = [(lx, ly) for lx in partitions_of(xdeg) for ly in partitions_of(ydeg)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+    coeffs = st.dictionaries(st.integers(0, 4), st.integers(1, 9), min_size=1, max_size=3)
+    return BiSymFunc(SCHUR, xdeg, ydeg, {key: QPoly(draw(coeffs)) for key in chosen})
+
+
+@given(schur_bisymfuncs())
+def test_json_term_order(f):
+    """Terms are written largest first under `compare`, x-leg before y-leg."""
+    written = [(tuple(t["x"]), tuple(t["y"])) for t in f.to_json_dict()["terms"]]
+    assert written == sorted(
+        f.terms, key=lambda k: (sort_key(k[0]), sort_key(k[1])), reverse=True
+    )
+    assert BiSymFunc.from_json_dict(f.to_json_dict()) == f
+
+
+def test_from_json_drops_zero_terms():
+    terms = [{"x": [1], "y": [2], "coeff": {"0": "0"}}, {"x": [1], "y": [1, 1], "coeff": {}}]
+    data = {"basis": SCHUR, "bidegree": [1, 2], "terms": terms}
+    assert BiSymFunc.from_json_dict(data) == BiSymFunc.zero(1, 2, SCHUR)
 
 
 def test_addition_needs_matching_bidegree():

@@ -22,7 +22,7 @@ from equichar.moduli import (
 )
 from equichar.partitions import partitions_of
 from equichar.qpoly import ExactDivisionError, QPoly
-from equichar.symfunc import POWERSUM, Packed, SymFunc, complete, one, powersum, schur
+from equichar.symfunc import POWERSUM, SCHUR, Packed, SymFunc, complete, one, powersum, schur
 
 
 def test_base_level_values():
@@ -437,6 +437,22 @@ def _with_coeff(payload, coeff):
     return payload
 
 
+def _with(payload, **fields):
+    payload.update(fields)
+    return payload
+
+
+def _with_term(payload, index, **fields):
+    payload["terms"][index].update(fields)
+    return payload
+
+
+def _with_repeat(payload, coeff):
+    """A second s_(4,1) term in front of the real one."""
+    payload["terms"].insert(0, {"x": [], "y": [4, 1], "coeff": coeff})
+    return payload
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -445,11 +461,21 @@ def _with_coeff(payload, coeff):
         pytest.param(lambda payload: 5, id="number"),
         pytest.param(lambda payload: _with_coeff(payload, ["0", "1"]), id="coeff-list"),
         pytest.param(lambda payload: _with_coeff(payload, "1"), id="coeff-string"),
+        pytest.param(lambda payload: _with(payload, basis="monomial"), id="unknown-basis"),
+        pytest.param(lambda payload: _with_term(payload, 0, y=[4, 2]), id="term-size"),
+        pytest.param(lambda payload: _with_term(payload, 0, y=[1, 4]), id="increasing-parts"),
+        pytest.param(lambda payload: _with_repeat(payload, {"1": "7"}), id="repeated-term"),
+        pytest.param(lambda payload: _with_repeat(payload, {}), id="repeated-zero-term"),
+        pytest.param(lambda payload: _with_term(payload, 0, y=[4.9, 1]), id="fraction-part"),
+        pytest.param(lambda payload: _with(payload, bidegree=["0", "5"]), id="bidegree-strings"),
+        pytest.param(lambda payload: _with(payload, bidegree=[0.0, 5.0]), id="bidegree-floats"),
     ],
 )
 def test_cache_rejects_malformed_json(tmp_path, capsys, edit):
-    """Valid JSON of the wrong shape, a file that is not an object or a
-    coefficient that is not one, is a CacheError, and `compute` exits 3."""
+    """Valid JSON of the wrong shape is a CacheError, and `compute` exits 3:
+    a file that is not an object, a coefficient that is not one, an unknown
+    basis, a term that is no pair of partitions of the bidegree or that
+    appears twice, and a bidegree that is not two ints."""
     CharacterCalculator(cache_dir=tmp_path).character(5)
     path = tmp_path / "E_5_0_2.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -473,6 +499,60 @@ def test_cache_rejects_changed_edge_coefficient(tmp_path, edge):
         path.write_text(json.dumps(payload))
         with pytest.raises(CacheError, match="verification"):
             CharacterCalculator(cache_dir=tmp_path).character(5)
+
+
+def test_cache_rejects_exponent_above_top(tmp_path, capsys):
+    """E(5, 0, 2) lives in degrees 0..2: a q^5 part fails verification."""
+    CharacterCalculator(cache_dir=tmp_path).character(5)
+    path = tmp_path / "E_5_0_2.json"
+    payload = json.loads(path.read_text())
+    assert payload["terms"][0]["y"] == [4, 1]
+    payload["terms"][0]["coeff"]["5"] = "1"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheError, match="verification"):
+        CharacterCalculator(cache_dir=tmp_path).character(5)
+    assert main(["compute", "--n", "5", "--format", "json", "--cache", str(tmp_path)]) == 3
+    assert "q^5" not in capsys.readouterr().out
+
+
+def test_check_rejects_computed_exponent_above_top():
+    value = CharacterCalculator().character(6, 2, 3)
+    moduli._check_character((6, 2, 3), value)
+    term = next(iter(value.terms))
+    raised = value + BiSymFunc(SCHUR, 2, 4, {term: QPoly.q(4)})
+    with pytest.raises(ArithmeticError, match="above"):
+        moduli._check_character((6, 2, 3), raised)
+
+
+def test_cache_files_reencode_byte_identical(tmp_path):
+    """Every file the chamber keys with n <= 9 write decodes, in a fresh
+    calculator, to a value whose encoding is the file, byte for byte."""
+    _fill_cache(tmp_path, 9)
+    paths = sorted(tmp_path.glob("E_*.json"))
+    warm = CharacterCalculator(cache_dir=tmp_path)
+    for path in paths:
+        n, k, l = (int(a) for a in path.stem.split("_")[1:])
+        payload = {"v": 1, "n": n, "k": k, "l": l}
+        payload.update(warm.character(n, k, l).to_json_dict())
+        text = json.dumps(payload, separators=(",", ":")) + "\n"
+        assert text.encode() == path.read_bytes(), path.name
+    assert len(warm._schur) == len(paths) and not warm._powersum
+
+
+def test_cache_reads_powersum_file(tmp_path):
+    """A file in power sums, with fractional coefficients, loads and is
+    converted to Schur form."""
+    value = CharacterCalculator().character(6, 0, 2)
+    working = value.to_powersum()
+    assert any(c._d > 1 for c in working.terms.values())
+    payload = {"v": 1, "n": 6, "k": 0, "l": 2, "basis": POWERSUM, "bidegree": [0, 6]}
+    payload["terms"] = [
+        {"x": list(lx), "y": list(ly), "coeff": c.to_json_dict()}
+        for (lx, ly), c in working.terms.items()
+    ]
+    (tmp_path / "E_6_0_2.json").write_text(json.dumps(payload))
+    loaded = CharacterCalculator(cache_dir=tmp_path).character(6, 0, 2)
+    assert loaded.basis == SCHUR and loaded == value
 
 
 def test_edge_coefficients_of_every_chamber_key():

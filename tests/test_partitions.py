@@ -36,6 +36,13 @@ def test_check_partition_rejects(bad):
         check_partition(bad)
 
 
+@pytest.mark.parametrize("bad", [(2.5,), ("3", 1.9), (4.9, 1), ("3",), (4.0, 1)])
+def test_check_partition_rejects_non_integer_parts(bad):
+    """Parts are read with `operator.index`, never truncated by `int`."""
+    with pytest.raises(TypeError):
+        check_partition(bad)
+
+
 def test_conjugate_examples():
     assert conjugate((4, 2, 1)) == (3, 2, 1, 1)
     assert conjugate((5,)) == (1, 1, 1, 1, 1)

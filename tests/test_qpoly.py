@@ -176,6 +176,22 @@ def test_integer_parse_matches_fraction_parse(data):
     assert QPoly.from_json_dict(data) == expected
 
 
+@pytest.mark.parametrize(
+    "value", ["+5", " 5", "5_0", "\u0665", "\u00b2", "5.0", "1e3", "--5", "-", "", "-0", "007"]
+)
+def test_integer_test_matches_fraction_parse_on_edge_strings(value):
+    """A value outside `-?[0-9]+` that `int` might still read goes the
+    `parse_rat` way: both paths give the same polynomial or both raise."""
+    data = {"0": "1", "2": value}
+    try:
+        expected = QPoly({0: 1, 2: parse_rat(value)})
+    except ValueError:
+        with pytest.raises(ValueError):
+            QPoly.from_json_dict(data)
+    else:
+        assert QPoly.from_json_dict(data) == expected
+
+
 def test_json_rejects_negative_exponents():
     for value in ("2", "1/2"):
         with pytest.raises(ValueError):

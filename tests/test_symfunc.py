@@ -107,6 +107,12 @@ def test_character_table_orthogonality(n):
 # --- basis conversion --------------------------------------------------------
 
 
+def test_constructors_reject_non_integer_parts():
+    for make in (schur, powersum):
+        with pytest.raises(TypeError):
+            make([2.5])
+
+
 def test_schur_to_powersum_small():
     assert schur((2,)).to_powersum().terms == {
         (2,): Fraction(1, 2),
