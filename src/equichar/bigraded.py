@@ -5,45 +5,24 @@ single-leg operations extend legwise, and restriction from the full group
 lands here via the normalized power-sum derivative.
 """
 
-from fractions import Fraction
-from functools import cache
 from itertools import groupby
 from math import comb
 from operator import index
 
-from .partitions import (
-    check_partition,
-    irrep_dimension,
-    partitions_of,
-    split_factor,
-    union,
-)
+from .partitions import check_partition, partitions_of, split_factor, union
 from .qpoly import QPoly
-from .symfunc import POWERSUM, SCHUR, SymFunc, _acc, _Terms, change_basis
+from .symfunc import POWERSUM, SCHUR, SymFunc, _acc, _partition_index, _Terms
 
 
 class BiSymFunc(_Terms):
-    """Homogeneous element of (Lambda tensor Lambda)[q] of fixed bidegree."""
+    """Homogeneous element of (Lambda tensor Lambda)[q] of fixed bidegree;
+    a key is the pair of its legs (x-partition, y-partition)."""
 
     __slots__ = ("basis", "xdeg", "ydeg", "terms")
 
     def __init__(self, basis: str, xdeg: int, ydeg: int, terms=()):
-        if basis not in (POWERSUM, SCHUR):
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        self.xdeg = int(xdeg)
-        self.ydeg = int(ydeg)
-        clean: dict[tuple, QPoly] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (lx, ly), c in items:
-            lx, ly = tuple(lx), tuple(ly)
-            if sum(lx) != self.xdeg or sum(ly) != self.ydeg:
-                raise ValueError(f"term {(lx, ly)} breaks bidegree {(self.xdeg, self.ydeg)}")
-            qc = c if isinstance(c, QPoly) else QPoly(c)
-            if qc.is_zero():
-                continue
-            _acc(clean, (lx, ly), qc)
-        self.terms = clean
+        self.xdeg, self.ydeg = index(xdeg), index(ydeg)
+        self._checked(basis, terms)
 
     @classmethod
     def _raw(cls, basis, xdeg, ydeg, terms):
@@ -51,8 +30,7 @@ class BiSymFunc(_Terms):
         res.basis, res.xdeg, res.ydeg, res.terms = basis, xdeg, ydeg, terms
         return res
 
-    def _new(self, basis, terms) -> "BiSymFunc":
-        return BiSymFunc._raw(basis, self.xdeg, self.ydeg, terms)
+    _legs = _key = staticmethod(tuple)
 
     @classmethod
     def zero(cls, xdeg: int, ydeg: int, basis: str = POWERSUM) -> "BiSymFunc":
@@ -78,46 +56,13 @@ class BiSymFunc(_Terms):
     def bidegree(self) -> tuple[int, int]:
         return (self.xdeg, self.ydeg)
 
-    _shape = bidegree
+    _degrees = bidegree
 
-    def coeff(self, lx, ly) -> QPoly:
-        return self.terms.get((tuple(lx), tuple(ly)), QPoly(0))
+    # -- linear structure, bound in the class body, where perfbench/spans.py patches it
 
-    # -- linear structure --------------------------------------------------
-
-    __add__ = _Terms._sum  # bound in the class body, where perfbench/spans.py patches it
-
-    def __sub__(self, other: "BiSymFunc") -> "BiSymFunc":
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Legwise product: x with x, y with y; scalars scale."""
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self.scale(other)
-        if not isinstance(other, BiSymFunc):
-            return NotImplemented
-        f, g = self.to_powersum(), other.to_powersum()
-        out: dict[tuple, QPoly] = {}
-        for (ax, ay), c in f.terms.items():
-            for (bx, by), d in g.terms.items():
-                _acc(out, (union(ax, bx), union(ay, by)), c * d)
-        return BiSymFunc._raw(POWERSUM, f.xdeg + g.xdeg, f.ydeg + g.ydeg, out)
-
-    __rmul__ = __mul__
-
-    # -- basis changes -------------------------------------------------------
-
-    def _convert(self, target: str) -> "BiSymFunc":
-        if self.basis == target:
-            return self
-        out = change_basis(self.terms, target, self.bidegree)
-        return BiSymFunc._raw(target, self.xdeg, self.ydeg, out)
-
-    def to_powersum(self) -> "BiSymFunc":
-        return self._convert(POWERSUM)
-
-    def to_schur(self) -> "BiSymFunc":
-        return self._convert(SCHUR)
+    __add__, __sub__ = _Terms._sum, _Terms._difference
+    __mul__ = __rmul__ = _Terms._product
+    to_powersum, to_schur = _Terms.to_powersum, _Terms.to_schur
 
     # -- leg operations --------------------------------------------------------
 
@@ -152,23 +97,13 @@ class BiSymFunc(_Terms):
         out = {ly: c for (lx, ly), c in self.terms.items()}
         return SymFunc._raw(self.basis, self.ydeg, out)
 
-    # -- specializations ----------------------------------------------------------
-
-    def dimension_poly(self) -> QPoly:
-        f = self.to_schur()
-        total = QPoly(0)
-        for (lx, ly), c in f.terms.items():
-            dim = (irrep_dimension(lx) if lx else 1) * (irrep_dimension(ly) if ly else 1)
-            total = total + c * dim
-        return total
-
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         """The Schur form as JSON: terms ordered by the x-partition, then the
         y-partition, each largest first under `partitions.compare`."""
         fs = self.to_schur()
-        xs, ys = _positions(fs.xdeg), _positions(fs.ydeg)
+        xs, ys = _partition_index(fs.xdeg), _partition_index(fs.ydeg)
         order = sorted(fs.terms, key=lambda k: (xs[k[0]], ys[k[1]]))
         return {
             "basis": SCHUR,
@@ -189,7 +124,7 @@ class BiSymFunc(_Terms):
         if basis not in (POWERSUM, SCHUR):
             raise ValueError(f"unknown basis {basis!r}")
         xdeg, ydeg = map(index, data["bidegree"])
-        xs, ys = _positions(xdeg), _positions(ydeg)
+        xs, ys = _partition_index(xdeg), _partition_index(ydeg)
         xparts, yparts = partitions_of(xdeg), partitions_of(ydeg)
         terms = {}
         for t in data["terms"]:
@@ -214,12 +149,6 @@ class BiSymFunc(_Terms):
         return (
             f"BiSymFunc({self.basis}, bidegree={self.bidegree}, {len(self.terms)} terms)"
         )
-
-
-@cache
-def _positions(n: int) -> dict[tuple[int, ...], int]:
-    """Each partition of n mapped to its index in `partitions_of(n)`."""
-    return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
 def restrict_full(f: SymFunc, k: int) -> BiSymFunc:

@@ -40,9 +40,9 @@ Schur form for the checks, and as it stands to power sums for the next
 steps.
 
 Every stored key is checked (`_check_character`): all its Schur
-coefficients are effective, and its q^0 and q^(n-3) coefficients are each
-exactly the trivial character s_(k) (x) s_(n-k).  A cache file that fails
-the check raises CacheError.
+coefficients are effective palindromes of degree n-3 (Poincare duality), and
+its q^0 and q^(n-3) coefficients are each exactly the trivial character
+s_(k) (x) s_(n-k).  A cache file that fails the check raises CacheError.
 """
 
 import json
@@ -253,10 +253,11 @@ def _blowup_kernel(m: int, l: int):
 
 def _check_character(key, value: BiSymFunc) -> None:
     """Raise ArithmeticError unless the Schur form `value` of E(key) is a
-    character of the cohomology: every coefficient is effective and lives in
-    degrees 0..n-3, and the coefficients of q^0 and q^(n-3) are each exactly
-    s_(k) (x) s_(n-k), since H^0 and the top cohomology of the smooth
-    projective (n-3)-fold are trivial representations."""
+    character of the cohomology of a smooth projective (n-3)-fold: every
+    coefficient is effective and a palindrome of degree n-3 (Poincare
+    duality, which also keeps it in degrees 0..n-3), and the coefficient of
+    q^0, hence also of q^(n-3), is exactly s_(k) (x) s_(n-k), since H^0 is
+    the trivial representation."""
     n, k, _ = key
     trivial = ((k,) if k else (), (n - k,) if n - k else ())
     top = n - 3
@@ -267,11 +268,15 @@ def _check_character(key, value: BiSymFunc) -> None:
             )
         # Effective: `_c` holds the positive integer coefficients.
         coeffs = c._c
-        want = 1 if term == trivial else 0
-        if coeffs.get(0, 0) != want or coeffs.get(top, 0) != want:
-            raise ArithmeticError(f"E{key} has a nontrivial q^0 or q^{top} part at {term}")
-        if coeffs and max(coeffs) > top:
-            raise ArithmeticError(f"E{key} has a q^{max(coeffs)} part above q^{top} at {term}")
+        if coeffs.get(0, 0) != (1 if term == trivial else 0):
+            raise ArithmeticError(f"E{key} has a nontrivial q^0 part at {term}")
+        for e, v in coeffs.items():
+            if coeffs.get(top - e) != v:
+                if e > top:
+                    raise ArithmeticError(f"E{key} has a q^{e} part above q^{top} at {term}")
+                raise ArithmeticError(
+                    f"E{key} breaks Poincare duality at {term}: q^{e} and q^{top - e} differ"
+                )
     if trivial not in value.terms:
         raise ArithmeticError(f"E{key} lacks the trivial character in q^0 and q^{top}")
 

@@ -15,6 +15,7 @@ The public readers (`coeff`, `items`, `evaluate`, JSON) give reduced
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 
 class ExactDivisionError(ArithmeticError):
@@ -50,6 +51,8 @@ class QPoly:
     __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs=0):
+        """From a number or {exponent: coefficient}; an exponent must be a
+        non-negative int (1.5 raises TypeError)."""
         if isinstance(coeffs, QPoly):
             self._c, self._d = dict(coeffs._c), coeffs._d
             return
@@ -57,7 +60,7 @@ class QPoly:
             coeffs = {0: coeffs}
         fracs = {}
         for k, v in coeffs.items():
-            k = int(k)
+            k = index(k)
             if k < 0:
                 raise ValueError("negative q-exponents are not supported")
             v = Fraction(v)

@@ -44,6 +44,7 @@ from array import array
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
+from operator import add, getitem, index, itemgetter
 
 from .partitions import (
     centralizer_order,
@@ -345,15 +346,50 @@ def _acc(terms: dict, key, value: QPoly) -> None:
 
 
 class _Terms:
-    """The linear structure `SymFunc` and `BiSymFunc` share: `terms`, a dict
-    {key: nonzero QPoly} in one `basis`, all of one (bi)degree.  A subclass
-    gives that (bi)degree as `_shape` and builds values of it unchecked with
-    `_new(basis, terms)`."""
+    """The structure `SymFunc` and `BiSymFunc` share: `terms`, a dict
+    {key: nonzero QPoly} in one `basis`, where a key holds one partition per
+    leg, of the leg degrees `_degrees`.  A subclass gives the legs of a key
+    as `_legs(key)`, the key of its legs as `_key(legs)`, and builds values
+    unchecked with `_raw(basis, *degrees, terms)`."""
 
     __slots__ = ()
 
+    def _checked(self, basis: str, terms) -> None:
+        """Set `basis` and `terms` from {key: coefficient}, or from (key,
+        coefficient) pairs.  Each leg is looked up among the partitions of
+        its degree and replaced by the stored one (a part such as 2.0 reads
+        as 2); repeated keys are summed and zero sums dropped.  A key that
+        is no tuple of partitions of `_degrees` raises ValueError."""
+        if basis not in (POWERSUM, SCHUR):
+            raise ValueError(f"unknown basis {basis!r}")
+        degrees = self._degrees
+        indexes, parts = tuple(map(_partition_index, degrees)), tuple(map(partitions_of, degrees))
+        legs_of, key_of, width = self._legs, self._key, len(degrees)
+        clean: dict = {}
+        for key, c in terms.items() if isinstance(terms, dict) else terms:
+            try:
+                legs = legs_of(key)
+                if len(legs) != width:
+                    raise ValueError
+                positions = map(getitem, indexes, map(tuple, legs))
+                key = key_of(tuple(map(getitem, parts, positions)))
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"term {key!r}: its legs are no partitions of {degrees}") from None
+            qc = c if isinstance(c, QPoly) else QPoly(c)
+            if not qc.is_zero():
+                _acc(clean, key, qc)
+        self.basis, self.terms = basis, clean
+
+    def _new(self, basis, terms):
+        """A value of this class and (bi)degree, unchecked."""
+        return self._raw(basis, *self._degrees, terms)
+
     def is_zero(self) -> bool:
         return not self.terms
+
+    def coeff(self, *legs) -> QPoly:
+        """The coefficient of the key with these legs, one partition each."""
+        return self.terms.get(self._key(tuple(map(tuple, legs))), QPoly(0))
 
     def _sum(self, other):
         """self + other, for values of the same class, basis and (bi)degree."""
@@ -361,12 +397,32 @@ class _Terms:
             return NotImplemented
         if other.basis != self.basis:
             raise ValueError("cannot add across bases; convert first")
-        if other._shape != self._shape:
-            raise ValueError(f"cannot add degrees {self._shape} and {other._shape}")
+        if other._degrees != self._degrees:
+            raise ValueError(f"cannot add degrees {self._degrees} and {other._degrees}")
         out = dict(self.terms)
         for key, c in other.terms.items():
             _acc(out, key, c)
         return self._new(self.basis, out)
+
+    def _difference(self, other):
+        return self + (-other)
+
+    def _product(self, other):
+        """The product in each leg (of symmetric functions, in power sums);
+        scalars scale."""
+        if isinstance(other, (int, Fraction, QPoly)):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        f, g = self.to_powersum(), other.to_powersum()
+        legs, key = self._legs, self._key
+        right = [(legs(b), d) for b, d in g.terms.items()]
+        out: dict = {}
+        for a, c in f.terms.items():
+            left = legs(a)
+            for b, d in right:
+                _acc(out, key(tuple(map(union, left, b))), c * d)
+        return self._raw(POWERSUM, *map(add, f._degrees, g._degrees), out)
 
     def __neg__(self):
         return self._new(self.basis, {key: -c for key, c in self.terms.items()})
@@ -383,7 +439,7 @@ class _Terms:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self._shape != other._shape:
+        if self._degrees != other._degrees:
             return False
         if self.basis == other.basis:
             return self.terms == other.terms
@@ -391,7 +447,20 @@ class _Terms:
 
     def __hash__(self):
         p = self.to_powersum()
-        return hash((p._shape, frozenset(p.terms.items())))
+        return hash((p._degrees, frozenset(p.terms.items())))
+
+    def _convert(self, target: str):
+        if self.basis == target:
+            return self
+        legs, key = self._legs, self._key
+        out = change_basis({legs(k): c for k, c in self.terms.items()}, target, self._degrees)
+        return self._new(target, {key(k): c for k, c in out.items()})
+
+    def to_powersum(self):
+        return self._convert(POWERSUM)
+
+    def to_schur(self):
+        return self._convert(SCHUR)
 
     def q_coefficient(self, i: int):
         """The coefficient of q^i, with constant coefficients."""
@@ -402,28 +471,25 @@ class _Terms:
                 out[key] = QPoly(v)
         return self._new(self.basis, out)
 
+    def dimension_poly(self) -> QPoly:
+        """The graded dimension of the underlying representation: the sum of
+        c times the product of the leg dimensions over the Schur terms, each
+        leg lam of dimension f^lam (hook lengths), an empty leg of 1."""
+        total = QPoly(0)
+        for key, c in self.to_schur().terms.items():
+            total = total + c * prod(irrep_dimension(leg) for leg in self._legs(key) if leg)
+        return total
+
 
 class SymFunc(_Terms):
-    """A homogeneous symmetric function over Q[q] in a fixed basis."""
+    """A homogeneous symmetric function over Q[q] in a fixed basis; a key is
+    a partition of `degree`."""
 
     __slots__ = ("basis", "degree", "terms")
 
     def __init__(self, basis: str, degree: int, terms=()):
-        if basis not in (POWERSUM, SCHUR):
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        self.degree = int(degree)
-        clean: dict[tuple[int, ...], QPoly] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for lam, c in items:
-            lam = tuple(lam)
-            if sum(lam) != self.degree:
-                raise ValueError(f"term {lam} breaks homogeneity of degree {self.degree}")
-            qc = c if isinstance(c, QPoly) else QPoly(c)
-            if qc.is_zero():
-                continue
-            _acc(clean, lam, qc)
-        self.terms = clean
+        self.degree = index(degree)
+        self._checked(basis, terms)
 
     @classmethod
     def _raw(cls, basis, degree, terms):
@@ -431,55 +497,21 @@ class SymFunc(_Terms):
         res.basis, res.degree, res.terms = basis, degree, terms
         return res
 
-    def _new(self, basis, terms) -> "SymFunc":
-        return SymFunc._raw(basis, self.degree, terms)
+    _legs, _key = staticmethod(lambda lam: (lam,)), staticmethod(itemgetter(0))
 
     @property
-    def _shape(self) -> int:
-        return self.degree
+    def _degrees(self) -> tuple[int]:
+        return (self.degree,)
 
     @classmethod
     def zero(cls, degree: int, basis: str = POWERSUM) -> "SymFunc":
         return cls(basis, degree, {})
 
-    def coeff(self, lam) -> QPoly:
-        return self.terms.get(tuple(lam), QPoly(0))
+    # -- ring structure, bound in the class body, where perfbench/spans.py patches it
 
-    # -- ring structure -------------------------------------------------
-
-    __add__ = _Terms._sum  # bound in the class body, where perfbench/spans.py patches it
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Ordinary product in the ring of symmetric functions; scalars scale."""
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self.scale(other)
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        f, g = self.to_powersum(), other.to_powersum()
-        out: dict[tuple[int, ...], QPoly] = {}
-        for lam, c in f.terms.items():
-            for mu, d in g.terms.items():
-                _acc(out, union(lam, mu), c * d)
-        return SymFunc._raw(POWERSUM, f.degree + g.degree, out)
-
-    __rmul__ = __mul__
-
-    # -- basis changes ---------------------------------------------------
-
-    def _convert(self, target: str) -> "SymFunc":
-        if self.basis == target:
-            return self
-        out = change_basis({(lam,): c for lam, c in self.terms.items()}, target, (self.degree,))
-        return SymFunc._raw(target, self.degree, {key[0]: c for key, c in out.items()})
-
-    def to_powersum(self) -> "SymFunc":
-        return self._convert(POWERSUM)
-
-    def to_schur(self) -> "SymFunc":
-        return self._convert(SCHUR)
+    __add__, __sub__ = _Terms._sum, _Terms._difference
+    __mul__ = __rmul__ = _Terms._product
+    to_powersum, to_schur = _Terms.to_powersum, _Terms.to_schur
 
     # -- the three extra operations --------------------------------------
 
@@ -541,19 +573,6 @@ class SymFunc(_Terms):
             rest, count = hit
             _acc(out, rest, c * count)
         return SymFunc._raw(POWERSUM, f.degree - sum(lam), out)
-
-    # -- specializations ---------------------------------------------------
-
-    def dimension_poly(self) -> QPoly:
-        """The graded dimension of the underlying representation: the sum of
-        c * f^lam over the Schur terms c s_lam, f^lam the hook-length
-        dimension."""
-        if self.degree == 0:
-            return self.terms.get((), QPoly(0))
-        total = QPoly(0)
-        for lam, c in self.to_schur().terms.items():
-            total = total + c * irrep_dimension(lam)
-        return total
 
     def __str__(self) -> str:
         from .render import symfunc_text

@@ -99,8 +99,9 @@ def test_dimension_poly():
 
 
 def test_shared_linear_structure():
-    """SymFunc and BiSymFunc share sum, negation, scaling, equality, hash and
-    q-coefficients, and never mix with each other."""
+    """SymFunc and BiSymFunc share sum, negation, scaling, equality, hash,
+    q-coefficients, product, `coeff`, `dimension_poly` and the basis
+    changes, and never mix with each other."""
     f = (QPoly({2: 1, 0: 3}) * schur((2, 1)) + QPoly.q() * schur((3,))).to_powersum()
     y = BiSymFunc.embed_y(f)
     assert f != y and y != f
@@ -119,6 +120,38 @@ def test_shared_linear_structure():
         assert g.to_schur() == g and hash(g) == hash(g.to_schur())
     assert f.q_coefficient(2) == schur((2, 1))
     assert b.q_coefficient(0) == BiSymFunc.tensor(schur((1, 1)), schur((2,)))
+    with pytest.raises(TypeError):
+        f * y
+    with pytest.raises(TypeError):
+        y * f
+    # the induction product: dimensions multiply times C(6, 3), or C(4, 2)^2 legwise
+    cases = ((f, "degree", 3, 6, 20, [(2, 1)]), (b, "bidegree", (2, 2), (4, 4), 36, [(2,), (1, 1)]))
+    for g, shape, value, doubled, factor, legs in cases:
+        for h in (g.to_schur(), g.to_powersum(), g.to_schur().to_powersum()):
+            assert type(h) is type(g) and getattr(h, shape) == value and h == g
+        square = g * g
+        assert type(square) is type(g) and getattr(square, shape) == doubled
+        assert square == g.to_schur() * g and 2 * g == g * 2 == g + g
+        dim = g.dimension_poly()
+        assert square.dimension_poly() == dim * dim * factor
+        assert g.to_schur().coeff(*legs) == g.to_schur().coeff(*map(list, legs)) != 0
+    assert f.to_schur().coeff((2, 1)) == QPoly({2: 1, 0: 3}) and f.to_schur().coeff((1, 1, 1)) == 0
+    assert b.to_schur().coeff((2,), (1, 1)) == QPoly({1: 2})
+    assert SymFunc(SCHUR, 0, {(): 5}).dimension_poly() == 5
+    assert BiSymFunc(POWERSUM, 0, 0, {((), ()): 5}).dimension_poly() == 5
+
+
+def test_constructor_rejects_non_partitions():
+    """Each leg of a key must be a partition of its degree (a part 1.0 reads
+    as 1), and the degrees must be ints."""
+    for key in (((1,), (1, 1, 0)), ((1,), (1, 2)), ((1,), (2,), ()), ((1,),), (1, 2), None):
+        with pytest.raises(ValueError):
+            BiSymFunc(SCHUR, 1, 2, {key: 1})
+    for degrees in ((1.9, 2), (1, 2.0)):
+        with pytest.raises(TypeError):
+            BiSymFunc(SCHUR, *degrees, {((1,), (2,)): 1})
+    f = BiSymFunc(SCHUR, 1, 2, [(((1.0,), [2]), 1), (((1,), (2,)), 1), (((1,), (1, 1)), 0)])
+    assert f.terms == {((1,), (2,)): QPoly(2)} and type(next(iter(f.terms))[0][0]) is int
 
 
 @given(partitions(max_size=4, min_size=1), partitions(max_size=4, min_size=1))

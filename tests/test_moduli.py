@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from equichar import bigraded, moduli, symfunc
+from equichar import moduli, symfunc
 from equichar.bigraded import BiSymFunc
 from equichar.cli import main
 from equichar.moduli import (
@@ -515,6 +515,37 @@ def test_cache_rejects_exponent_above_top(tmp_path, capsys):
     assert "q^5" not in capsys.readouterr().out
 
 
+def test_cache_rejects_broken_duality(tmp_path, capsys):
+    """E(6, 0, 2) is the cohomology of a smooth projective 3-fold, so each
+    Schur coefficient is a palindrome of degree 3: raising the q^1
+    coefficient of s_(5,1) from 1 to 2 (Betti numbers 1,21,16,1 instead of
+    1,16,16,1) fails verification, and `compute` and `betti` exit 3."""
+    CharacterCalculator(cache_dir=tmp_path).character(6)
+    path = tmp_path / "E_6_0_2.json"
+    payload = json.loads(path.read_text())
+    (term,) = [t for t in payload["terms"] if t["y"] == [5, 1]]
+    assert term["coeff"] == {"1": "1", "2": "1"}
+    term["coeff"]["1"] = "2"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheError, match="verification.*duality"):
+        CharacterCalculator(cache_dir=tmp_path).character(6)
+    for command in ("compute", "betti"):
+        assert main([command, "--n", "6", "--cache", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "cache error" in captured.err and "21" not in captured.out
+
+
+def test_check_rejects_computed_broken_duality():
+    value = CharacterCalculator().character(7, 3, 2)
+    moduli._check_character((7, 3, 2), value)
+    term = next(t for t, c in value.terms.items() if c.coeff(1))
+    broken = value + BiSymFunc(SCHUR, 3, 4, {term: QPoly.q()})
+    with pytest.raises(ArithmeticError, match="duality"):
+        moduli._check_character((7, 3, 2), broken)
+    # the palindromic edit q + q^3 of the middle degree 2 keeps duality
+    moduli._check_character((7, 3, 2), value + BiSymFunc(SCHUR, 3, 4, {term: QPoly({1: 1, 3: 1})}))
+
+
 def test_check_rejects_computed_exponent_above_top():
     value = CharacterCalculator().character(6, 2, 3)
     moduli._check_character((6, 2, 3), value)
@@ -645,7 +676,6 @@ def test_warm_cache_does_no_change_of_basis(tmp_path, monkeypatch):
         return real_change_basis(*args, **kwargs)
 
     monkeypatch.setattr(symfunc, "change_basis", counting)
-    monkeypatch.setattr(bigraded, "change_basis", counting)
     keys = sorted(
         tuple(int(a) for a in path.stem.split("_")[1:]) for path in tmp_path.glob("E_*.json")
     )

@@ -39,6 +39,15 @@ def test_negative_exponent_rejected():
         QPoly({-1: 1})
 
 
+def test_exponent_must_be_an_int():
+    """An exponent such as 1.5 raises instead of truncating to q; exponents
+    read from JSON strings still load, fractional coefficients included."""
+    for bad in (1.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            QPoly({bad: 1})
+    assert QPoly.from_json_dict({"1": "1/2", "3": "-2"}) == QPoly({1: Fraction(1, 2), 3: -2})
+
+
 def test_q_and_geometric():
     assert QPoly.q() == QPoly({1: 1})
     assert QPoly.q(3, 2) == QPoly({3: 2})

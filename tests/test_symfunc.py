@@ -355,6 +355,19 @@ def test_homogeneity_enforced():
         SymFunc(POWERSUM, 3, {(2,): 1})
 
 
+def test_constructor_rejects_non_partitions():
+    """A key must be a partition of the degree, not a reordering or a padding
+    of one (the bases could not convert it), and the degree must be an int;
+    a part 2.0 reads as 2 and repeated keys add up."""
+    for basis, key in ((SCHUR, (1, 2)), (POWERSUM, (3, 0)), (SCHUR, ("3",)), (SCHUR, 3)):
+        with pytest.raises(ValueError):
+            SymFunc(basis, 3, {key: 1})
+    with pytest.raises(TypeError):
+        SymFunc(SCHUR, 2.7, {(2,): 1})
+    f = SymFunc(SCHUR, 3, [((2.0, 1), 1), ([2, 1], 2), ((3,), 0)])
+    assert f == schur((2, 1), 3) and type(next(iter(f.terms))[0]) is int
+
+
 def test_add_requires_same_degree():
     with pytest.raises(ValueError):
         schur((2,)) + schur((3,))
