@@ -11,8 +11,8 @@ import os
 import sys
 from pathlib import Path
 
-from .lengths import length_theorem_report
-from .moduli import CacheError, CharacterCalculator
+from .lengths import length_bound, length_theorem_report
+from .moduli import CacheError, CharacterCalculator, cache_files, character_json
 from .render import bisymfunc_latex, bisymfunc_text, qpoly_latex, qpoly_text
 from .verify import SUITES, run_suite
 
@@ -22,6 +22,8 @@ EXIT_VERIFY = 2
 EXIT_CACHE = 3
 
 _FORMATS = ("text", "latex", "json")
+# The printers of a character and of a q-polynomial, per non-JSON format.
+_PRINTERS = {"text": (bisymfunc_text, qpoly_text), "latex": (bisymfunc_latex, qpoly_latex)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,14 +56,10 @@ def cmd_compute(args) -> int:
     _require_n(args.n)
     calc = _calculator(args)
     value = calc.character(args.n, args.k, args.l)
-    if args.format == "text":
-        print(bisymfunc_text(value))
-    elif args.format == "latex":
-        print(bisymfunc_latex(value))
+    if args.format == "json":
+        print(character_json((args.n, args.k, args.l), value))
     else:
-        payload = {"v": 1, "n": args.n, "k": args.k, "l": args.l}
-        payload.update(value.to_json_dict())
-        print(_dumps(payload))
+        print(_PRINTERS[args.format][0](value))
     return EXIT_OK
 
 
@@ -70,15 +68,11 @@ def cmd_betti(args) -> int:
     calc = _calculator(args)
     poly = calc.poincare_polynomial(args.n)
     coeffs = [int(poly.coeff(i)) for i in range(poly.degree + 1)]
-    if args.format == "text":
-        print(qpoly_text(poly))
-        print(",".join(str(c) for c in coeffs))
-    elif args.format == "latex":
-        print(qpoly_latex(poly))
-        print(",".join(str(c) for c in coeffs))
+    if args.format == "json":
+        print(_dumps({"n": args.n, "poincare": poly.to_json_dict(), "betti": coeffs}))
     else:
-        payload = {"n": args.n, "poincare": poly.to_json_dict(), "betti": coeffs}
-        print(_dumps(payload))
+        print(_PRINTERS[args.format][1](poly))
+        print(",".join(str(c) for c in coeffs))
     return EXIT_OK
 
 
@@ -93,7 +87,7 @@ def cmd_length_table(args) -> int:
     else:
         for report in reports:
             for row in report.rows:
-                bound = report.bound(row.i)
+                bound = length_bound(report.n, row.i)
                 fields = [
                     f"n={report.n}",
                     f"i={row.i}",
@@ -121,11 +115,10 @@ def cmd_cache(args) -> int:
     directory = _cache_dir(args)
     if directory is None:
         raise ValueError("no cache directory: pass --cache or set EQUICHAR_CACHE")
-    files = sorted(directory.glob("E_*.json")) if directory.is_dir() else []
+    files, leftovers = cache_files(directory)
     if args.clear:
-        # A writer killed before its rename leaves its temporary file behind.
         # Another clear or a writer's rename may remove a file first.
-        for path in files + sorted(directory.glob(".E_*.json.*.tmp")):
+        for path in files + leftovers:
             path.unlink(missing_ok=True)
         print(f"removed {len(files)} cache files from {directory}")
     else:
@@ -134,11 +127,11 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, fmt: bool = True) -> None:
+def _add_common(sub, formats=_FORMATS) -> None:
     sub.add_argument("--cache", metavar="DIR", default=None,
                      help="cache directory (default: $EQUICHAR_CACHE)")
-    if fmt:
-        sub.add_argument("--format", choices=_FORMATS, default="text")
+    if formats:
+        sub.add_argument("--format", choices=formats, default="text")
 
 
 def build_parser() -> _Parser:
@@ -162,18 +155,18 @@ def build_parser() -> _Parser:
     sub = commands.add_parser("length-table",
                               help="length analysis of every graded piece, 3 <= n <= n-max")
     sub.add_argument("--n-max", type=int, default=8)
-    _add_common(sub)
+    _add_common(sub, ("text", "json"))
     sub.set_defaults(func=cmd_length_table)
 
     sub = commands.add_parser("verify", help="run a self-verification suite")
     sub.add_argument("--suite", required=True, choices=SUITES)
     sub.add_argument("--n-max", type=int, default=10)
-    _add_common(sub, fmt=False)
+    _add_common(sub, ())
     sub.set_defaults(func=cmd_verify)
 
     sub = commands.add_parser("cache", help="inspect or clear the disk cache")
     sub.add_argument("--clear", action="store_true")
-    _add_common(sub, fmt=False)
+    _add_common(sub, ())
     sub.set_defaults(func=cmd_cache)
 
     return parser
@@ -187,6 +180,9 @@ def main(argv=None) -> int:
     except CacheError as exc:
         print(f"equichar: cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE
+    except ArithmeticError as exc:  # a computed character failed its check
+        print(f"equichar: verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except ValueError as exc:
         print(f"equichar: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

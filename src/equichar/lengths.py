@@ -2,9 +2,11 @@
 
 For an effective symmetric function the leading partition is the largest
 element of its Schur support under the column order, and the length is the
-largest number of parts.  Both are multiplicative: leading partitions of
-products combine by multiset union, so the leading partition of each graded
-piece of the moduli characters obeys a sharp bound checked here row by row.
+largest number of parts.  The column order compares conjugates, whose first
+entry is the number of parts, so the length is that of the leading
+partition.  Both are multiplicative: leading partitions of products combine
+by multiset union, so the leading partition of each graded piece of the
+moduli characters obeys a sharp bound checked here row by row.
 """
 
 from dataclasses import dataclass
@@ -19,14 +21,6 @@ def leading_partition(f: SymFunc) -> tuple[int, ...]:
     if not fs.terms:
         raise ValueError("the zero function has no leading partition")
     return max(fs.terms, key=sort_key)
-
-
-def rep_length(f: SymFunc) -> int:
-    """Largest number of parts over the Schur support."""
-    fs = f.to_schur()
-    if not fs.terms:
-        raise ValueError("the zero function has no length")
-    return max(len(lam) for lam in fs.terms)
 
 
 def length_bound(n: int, i: int) -> int:
@@ -103,19 +97,12 @@ class LengthReport:
     n: int
     rows: list[LengthRow]
 
-    def bound(self, i: int) -> int:
-        return length_bound(self.n, i)
-
-    def star_applicable(self, i: int) -> bool:
-        return star_applicable(self.n, i)
-
     def problems(self) -> list[str]:
         out = []
         for row in self.rows:
-            if row.length != self.bound(row.i):
-                out.append(
-                    f"n={self.n} i={row.i}: length {row.length} != {self.bound(row.i)}"
-                )
+            bound = length_bound(self.n, row.i)
+            if row.length != bound:
+                out.append(f"n={self.n} i={row.i}: length {row.length} != {bound}")
             if row.lambda_mult is not None:
                 expected = exceptional_lambda(self.n, row.i)
                 if row.w != expected:
@@ -124,7 +111,7 @@ class LengthReport:
                     out.append(
                         f"n={self.n} i={row.i}: multiplicity {row.lambda_mult} != 1"
                     )
-            if self.star_applicable(row.i) and not row.star_holds:
+            if star_applicable(self.n, row.i) and not row.star_holds:
                 out.append(f"n={self.n} i={row.i}: w={row.w} fails the column test")
         return out
 
@@ -166,13 +153,6 @@ def length_theorem_report(n: int, calculator=None) -> LengthReport:
             if value.denominator != 1:
                 raise ArithmeticError(f"non-integer multiplicity at n={n}, i={i}")
             mult = int(value)
-        rows.append(
-            LengthRow(
-                i=i,
-                length=rep_length(piece),
-                w=w,
-                star_holds=star_applicable(n, i) and star_property(w, n, i),
-                lambda_mult=mult,
-            )
-        )
+        star = star_applicable(n, i) and star_property(w, n, i)
+        rows.append(LengthRow(i=i, length=len(w), w=w, star_holds=star, lambda_mult=mult))
     return LengthReport(n=n, rows=rows)

@@ -40,8 +40,9 @@ Schur form for the checks, and as it stands to power sums for the next
 steps.
 
 Every stored key is checked (`_check_character`): all its Schur
-coefficients are effective palindromes of degree n-3 (Poincare duality), and
-its q^0 and q^(n-3) coefficients are each exactly the trivial character
+coefficients are effective palindromes of degree n-3 (Poincare duality) that
+do not decrease up to the middle degree (hard Lefschetz), and its q^0 and
+q^(n-3) coefficients are each exactly the trivial character
 s_(k) (x) s_(n-k).  A cache file that fails the check raises CacheError.
 """
 
@@ -50,6 +51,7 @@ import os
 import threading
 from contextlib import suppress
 from functools import cache
+from operator import index
 from pathlib import Path
 
 from .partitions import centralizer_order, partitions_of, split_factor, union
@@ -255,12 +257,14 @@ def _check_character(key, value: BiSymFunc) -> None:
     """Raise ArithmeticError unless the Schur form `value` of E(key) is a
     character of the cohomology of a smooth projective (n-3)-fold: every
     coefficient is effective and a palindrome of degree n-3 (Poincare
-    duality, which also keeps it in degrees 0..n-3), and the coefficient of
-    q^0, hence also of q^(n-3), is exactly s_(k) (x) s_(n-k), since H^0 is
-    the trivial representation."""
+    duality, which also keeps it in degrees 0..n-3) whose q^(e+1) part is
+    at least its q^e part for 2e < n-3 (hard Lefschetz: an S_k x S_(n-k)
+    invariant ample class maps H^2e into H^(2e+2) injectively and
+    equivariantly), and the coefficient of q^0, hence also of q^(n-3), is
+    exactly s_(k) (x) s_(n-k), since H^0 is the trivial representation."""
     n, k, _ = key
     trivial = ((k,) if k else (), (n - k,) if n - k else ())
-    top = n - 3
+    top, rising = n - 3, (n - 2) // 2  # e < rising exactly when 2e < n-3
     for term, c in value.terms.items():
         if not c.is_effective():
             raise ArithmeticError(
@@ -277,8 +281,29 @@ def _check_character(key, value: BiSymFunc) -> None:
                 raise ArithmeticError(
                     f"E{key} breaks Poincare duality at {term}: q^{e} and q^{top - e} differ"
                 )
+            if e < rising and coeffs.get(e + 1, 0) < v:
+                raise ArithmeticError(
+                    f"E{key} breaks hard Lefschetz at {term}: q^{e + 1} is below q^{e}"
+                )
     if trivial not in value.terms:
         raise ArithmeticError(f"E{key} lacks the trivial character in q^0 and q^{top}")
+
+
+def character_json(key, value: BiSymFunc) -> str:
+    """The cache document of E(key) with Schur form `value`, as one compact
+    JSON line without its newline: the schema version and the key, then
+    `value.to_json_dict()`."""
+    n, k, l = key
+    payload = {"v": CACHE_SCHEMA_VERSION, "n": n, "k": k, "l": l, **value.to_json_dict()}
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def cache_files(directory: Path) -> tuple[list[Path], list[Path]]:
+    """The cache files `E_{n}_{k}_{l}.json` in `directory`, and the temporary
+    files that writers killed before their rename left behind."""
+    if not directory.is_dir():
+        return [], []
+    return sorted(directory.glob("E_*.json")), sorted(directory.glob(".E_*.json.*.tmp"))
 
 
 class CharacterCalculator:
@@ -302,7 +327,9 @@ class CharacterCalculator:
     # -- public surface ---------------------------------------------------
 
     def normalized_key(self, n: int, k: int, l: int) -> tuple[int, int, int]:
-        """Clamp l into [1, base_level]; levels 1 and 2 carry the same space."""
+        """Clamp l into [1, base_level]; levels 1 and 2 carry the same space.
+        n, k and l must be ints (`operator.index`)."""
+        n, k, l = index(n), index(k), index(l)
         if l < 1:
             raise ValueError("need l >= 1")
         return (n, k, min(max(l, 2), base_level(n, k)))
@@ -428,7 +455,7 @@ class CharacterCalculator:
         a BiSymFunc in power sums or the `Packed` sum of a level step, which
         is decoded twice, once from its Schur conversion and once as it
         stands, to power sums."""
-        n, k, l = key
+        n, k, _ = key
         if isinstance(value, Packed):
             degrees = (k, n - k)
             in_schur = BiSymFunc._raw(SCHUR, k, n - k, convert_packed(value, SCHUR, degrees))
@@ -440,14 +467,12 @@ class CharacterCalculator:
         self._powersum[key] = value
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            payload = {"v": CACHE_SCHEMA_VERSION, "n": n, "k": k, "l": l}
-            payload.update(in_schur.to_json_dict())
-            path = self.cache_dir / f"E_{n}_{k}_{l}.json"
+            path = self._path(key)
             # Write a private temporary file and rename it over the target, so
             # a crash or a concurrent writer never leaves a truncated E_*.json.
             tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
             try:
-                tmp.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+                tmp.write_text(character_json(key, in_schur) + "\n")
                 # `cache --clear` may remove the temporary file before its
                 # rename; then this write is skipped: the value is still
                 # served, and a later run computes the key again.
@@ -457,13 +482,16 @@ class CharacterCalculator:
                 tmp.unlink(missing_ok=True)
         return in_schur
 
+    def _path(self, key) -> Path:
+        return self.cache_dir / "E_{}_{}_{}.json".format(*key)
+
     def _load(self, key):
         """The Schur form of E(key) from its cache file, checked
         (`_check_character`) and kept in `_schur`; None on a miss."""
         if self.cache_dir is None:
             return None
-        n, k, l = key
-        path = self.cache_dir / f"E_{n}_{k}_{l}.json"
+        n, k, _ = key
+        path = self._path(key)
         try:
             payload = json.loads(path.read_text())
         except FileNotFoundError:

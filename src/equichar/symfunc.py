@@ -31,9 +31,9 @@ strips of a cells on an abacus (the Murnaghan-Nakayama rule).  A leg reads
 the table in place: a column slice takes p_mu to Schur functions, a strided
 row slice times the class sizes n!/z_mu takes s_lam to power sums.  Only
 the rows lam at or before their conjugate lam' are read, since
-chi^lam'(mu) = sign(mu) chi^lam(mu).  `character_table` and
-`character_value` are views of the same store.  The one-row Schur functions
-h_m have a closed form in power sums, `complete(m)`, which needs no table.
+chi^lam'(mu) = sign(mu) chi^lam(mu).  `character_value` reads one entry of
+the same store.  The one-row Schur functions h_m have a closed form in
+power sums, `complete(m)`, which needs no table.
 
 Plethysm twists the grading variable: p_a composed with q^k p_mu gives
 q^(a*k) p_(a*mu), while q-coefficients of the outer operand pass through
@@ -138,14 +138,6 @@ def _abacus(n: int) -> tuple[int, ...]:
 def _class_sizes(n: int) -> tuple[int, ...]:
     """n!/z_mu for mu in `partitions_of(n)`."""
     return tuple(factorial(n) // centralizer_order(mu) for mu in partitions_of(n))
-
-
-def character_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """The character table of S_n as rows: entry [i][j] is chi^lam(mu) for
-    lam = partitions_of(n)[i] and mu = partitions_of(n)[j].  A copy, built
-    on each call from the stored table."""
-    table, size = _table(n), len(partitions_of(n))
-    return tuple(tuple(table[i::size]) for i in range(size))
 
 
 @cache

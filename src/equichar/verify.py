@@ -15,7 +15,7 @@ from .qpoly import QPoly
 from .symfunc import SCHUR, SymFunc, schur
 from .bigraded import BiSymFunc
 from .lengths import leading_partition, length_theorem_report, plethysm_leading_partition
-from .moduli import CharacterCalculator
+from .moduli import CharacterCalculator, _check_character
 from .oracles import (
     eulerian_numbers,
     expand,
@@ -23,8 +23,6 @@ from .oracles import (
     keel_betti,
     oracle_plethysm,
 )
-
-SUITES = ("paper-examples", "duality", "oracles", "length-theorem")
 
 # Hand-checked closed forms, keyed (n, k, l); values map (x, y) partition
 # pairs to {q-exponent: coefficient}.
@@ -112,6 +110,11 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
+    def record(self, name: str, failures: list) -> None:
+        """Add the check `name`, which passes when `failures` is empty and
+        otherwise lists them in its detail."""
+        self.checks.append(Check(name, not failures, f"{failures}" if failures else ""))
+
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -138,25 +141,18 @@ def run_paper_examples(calc: CharacterCalculator | None = None) -> SuiteResult:
 
 
 def run_duality(calc: CharacterCalculator | None = None, n_max: int = 10) -> SuiteResult:
-    """Poincare duality: every Schur coefficient of E(n,0,1) is a palindrome
-    of degree n-3, and the constant term is the trivial character."""
+    """The calculator's own check (`moduli._check_character`: effectivity,
+    Poincare duality, hard Lefschetz, trivial q^0 and q^(n-3) parts) of
+    E(n,0,1); an ArithmeticError of the recursion or the check fails n."""
     calc = calc or CharacterCalculator()
     result = SuiteResult("duality")
     for n in range(3, n_max + 1):
-        full = calc.character(n, 0, 1).y_symfunc()
-        top = n - 3
-        ok = True
-        detail = ""
-        for lam, c in full.terms.items():
-            if c.degree > top:
-                ok, detail = False, f"degree overflow at {lam}"
-                break
-            if c.reflect(top) != c:
-                ok, detail = False, f"coefficient of s_{lam} is not palindromic"
-                break
-        if ok and full.q_coefficient(0) != schur((n,)):
-            ok, detail = False, "constant term is not the trivial character"
-        result.checks.append(Check(f"n={n}", ok, detail))
+        try:
+            _check_character((n, 0, 1), calc.character(n, 0, 1))
+        except ArithmeticError as exc:
+            result.checks.append(Check(f"n={n}", False, str(exc)))
+        else:
+            result.checks.append(Check(f"n={n}", True))
     return result
 
 
@@ -187,28 +183,14 @@ def run_oracles(
     result = SuiteResult("oracles")
 
     bad = [n for n in range(3, n_max + 1) if _betti(calc.poincare_polynomial(n)) != keel_betti(n)]
-    result.checks.append(
-        Check(f"betti numbers of E(n,0,1) vs keel's recursion n<={n_max}", not bad,
-              f"n={bad}" if bad else "")
-    )
-    bad = [
-        n
-        for n in range(3, n_max + 1)
-        if _betti(calc.character(n, 2, n - 2).dimension_poly()) != eulerian_numbers(n - 2)
-    ]
-    result.checks.append(
-        Check(f"betti numbers of E(n,2,n-2) vs eulerian numbers n<={n_max}", not bad,
-              f"n={bad}" if bad else "")
-    )
+    result.record(f"betti numbers of E(n,0,1) vs keel's recursion n<={n_max}", bad)
+    bad = [n for n in range(3, n_max + 1)
+           if _betti(calc.character(n, 2, n - 2).dimension_poly()) != eulerian_numbers(n - 2)]
+    result.record(f"betti numbers of E(n,2,n-2) vs eulerian numbers n<={n_max}", bad)
 
-    bad = []
-    for n in range(0, 9):
-        for lam in partitions_of(n):
-            if jacobi_trudi_to_powersum(lam) != schur(lam).to_powersum():
-                bad.append(lam)
-    result.checks.append(
-        Check("jacobi-trudi vs murnaghan-nakayama |lam|<=8", not bad, f"{bad}" if bad else "")
-    )
+    bad = [lam for n in range(9) for lam in partitions_of(n)
+           if jacobi_trudi_to_powersum(lam) != schur(lam).to_powersum()]
+    result.record("jacobi-trudi vs murnaghan-nakayama |lam|<=8", bad)
 
     pairs = [
         (lam, mu)
@@ -229,33 +211,24 @@ def run_oracles(
     for lam, mu in pairs:
         nvars = max(sum(lam) * sum(mu), 1)
         kernel = expand(schur(lam).pleth(schur(mu)), nvars)
-        direct = oracle_plethysm(schur(lam), schur(mu), nvars)
-        if kernel != direct:
+        if kernel != oracle_plethysm(schur(lam), schur(mu), nvars):
             bad.append((lam, mu))
-    result.checks.append(
-        Check("plethysm vs monomial substitution", not bad, f"{bad}" if bad else "")
-    )
+    result.record("plethysm vs monomial substitution", bad)
 
-    bad_count = 0
+    bad = []
     for _ in range(100):
-        f = _random_schur_positive(rng, 4)
-        g = _random_schur_positive(rng, 4)
+        f, g = _random_schur_positive(rng, 4), _random_schur_positive(rng, 4)
         nvars = f.degree + g.degree
         if expand(f * g, nvars) != expand(f, nvars) * expand(g, nvars):
-            bad_count += 1
-    result.checks.append(
-        Check("product vs expanded multiplication (100 random pairs)", bad_count == 0)
-    )
+            bad.append((f, g))
+    result.record("product vs expanded multiplication (100 random pairs)", bad)
 
     bad = []
     for _ in range(200):
-        f = _random_schur_positive(rng, 8)
-        g = _random_schur_positive(rng, 8)
+        f, g = _random_schur_positive(rng, 8), _random_schur_positive(rng, 8)
         if leading_partition(f * g) != union(leading_partition(f), leading_partition(g)):
             bad.append((f, g))
-    result.checks.append(
-        Check("leading partition is multiplicative (200 random pairs)", not bad)
-    )
+    result.record("leading partition is multiplicative (200 random pairs)", bad)
 
     bad = []
     for size in range(1, 5):
@@ -265,9 +238,7 @@ def run_oracles(
                 actual = leading_partition(schur(mu).pleth(schur((m,))))
                 if predicted != actual:
                     bad.append((mu, m, predicted, actual))
-    result.checks.append(
-        Check("leading partition of s_mu o s_(m), closed form", not bad, f"{bad}" if bad else "")
-    )
+    result.record("leading partition of s_mu o s_(m), closed form", bad)
     return result
 
 
@@ -281,13 +252,21 @@ def run_length_theorem(calc: CharacterCalculator | None = None, n_max: int = 8) 
     return result
 
 
+_RUNNERS = {
+    "paper-examples": run_paper_examples,
+    "duality": run_duality,
+    "oracles": run_oracles,
+    "length-theorem": run_length_theorem,
+}
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, calc: CharacterCalculator | None = None, n_max: int | None = None) -> SuiteResult:
-    if name == "paper-examples":
-        return run_paper_examples(calc)
-    if name == "duality":
-        return run_duality(calc, n_max if n_max is not None else 10)
-    if name == "oracles":
-        return run_oracles(calc, n_max if n_max is not None else 12)
-    if name == "length-theorem":
-        return run_length_theorem(calc, n_max if n_max is not None else 8)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    """Run the suite `name`; with `n_max` None it keeps its own default, and
+    paper-examples, whose keys are fixed, takes none."""
+    runner = _RUNNERS.get(name)
+    if runner is None:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if n_max is None or runner is run_paper_examples:
+        return runner(calc)
+    return runner(calc, n_max)

@@ -7,9 +7,10 @@ from equichar.lengths import (
     exceptional_degrees,
     exceptional_lambda,
     leading_partition,
+    length_bound,
     length_theorem_report,
     plethysm_leading_partition,
-    rep_length,
+    star_applicable,
     star_property,
 )
 from equichar.partitions import partitions_of, union
@@ -20,7 +21,7 @@ from equichar.symfunc import SCHUR, SymFunc, schur
 def test_leading_partition_column_order():
     f = schur((4,)) + schur((3, 1)) + schur((2, 2))
     assert leading_partition(f) == (2, 2)
-    assert rep_length(f) == 2
+    assert len(leading_partition(f)) == 2 == max(len(lam) for lam in f.terms)
 
 
 def test_leading_partition_rejects_zero():
@@ -32,8 +33,9 @@ def test_leading_partition_of_powersum_input():
     # p_(1,1,1) = s_3 + 2 s_21 + s_111: conversion happens internally
     from equichar.symfunc import powersum
 
-    assert leading_partition(powersum((1, 1, 1))) == (1, 1, 1)
-    assert rep_length(powersum((1, 1, 1))) == 3
+    f = powersum((1, 1, 1))
+    assert leading_partition(f) == (1, 1, 1)
+    assert len(leading_partition(f)) == 3 == max(len(lam) for lam in f.to_schur().terms)
 
 
 def test_star_property():
@@ -115,7 +117,7 @@ def test_report_small_n():
     row = report.rows[1]
     assert row.w == (4, 1)
     assert row.lambda_mult == 1
-    assert report.bound(1) == 2
+    assert length_bound(5, 1) == 2
 
 
 def test_report_n7_base_case():
@@ -158,9 +160,9 @@ def test_report_problems_detects_bad_rows():
 def test_star_applicability_window():
     report = length_theorem_report(9)
     # A_9 = {3}; applicable degrees are 1..5 without 3
-    assert report.star_applicable(1)
-    assert report.star_applicable(5)
-    assert not report.star_applicable(3)
-    assert not report.star_applicable(0)
-    assert not report.star_applicable(6)
+    assert star_applicable(9, 1)
+    assert star_applicable(9, 5)
+    assert not star_applicable(9, 3)
+    assert not star_applicable(9, 0)
+    assert not star_applicable(9, 6)
     assert report.ok

