@@ -9,7 +9,7 @@ from itertools import groupby
 from math import comb
 from operator import index
 
-from .partitions import check_partition, partitions_of, split_factor, union
+from .partitions import partitions_of, union
 from .qpoly import QPoly
 from .symfunc import POWERSUM, SCHUR, SymFunc, _acc, _partition_index, _Terms
 
@@ -68,16 +68,7 @@ class BiSymFunc(_Terms):
 
     def deriv_x(self, nu) -> "BiSymFunc":
         """Normalized power-sum derivative applied to the x-leg only."""
-        nu = check_partition(nu) if nu else ()
-        f = self.to_powersum()
-        out: dict[tuple, QPoly] = {}
-        for (lx, ly), c in f.terms.items():
-            hit = split_factor(lx, nu)
-            if hit is None:
-                continue
-            rest, count = hit
-            _acc(out, (rest, ly), c * count)
-        return BiSymFunc._raw(POWERSUM, f.xdeg - sum(nu), f.ydeg, out)
+        return self._derivative(0, nu)
 
     def swap_legs(self) -> "BiSymFunc":
         out = {(ly, lx): c for (lx, ly), c in self.terms.items()}
@@ -139,11 +130,6 @@ class BiSymFunc(_Terms):
                 raise ValueError(f"repeated term {key}")
             terms[key] = QPoly.from_json_dict(t["coeff"])
         return cls._raw(basis, xdeg, ydeg, {key: c for key, c in terms.items() if c})
-
-    def __str__(self) -> str:
-        from .render import bisymfunc_text
-
-        return bisymfunc_text(self)
 
     def __repr__(self) -> str:
         return (

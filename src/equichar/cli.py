@@ -2,7 +2,8 @@
 
 Subcommands: compute a character, print Betti numbers, sweep the length
 analysis, run a verification suite, or manage the disk cache.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 cache corruption.
+0 success, 1 usage error, 2 verification failure, 3 cache corruption, and
+141 (128 + SIGPIPE) when stdout closes before the output is written.
 """
 
 import argparse
@@ -13,17 +14,17 @@ from pathlib import Path
 
 from .lengths import length_bound, length_theorem_report
 from .moduli import CacheError, CharacterCalculator, cache_files, character_json
-from .render import bisymfunc_latex, bisymfunc_text, qpoly_latex, qpoly_text
+from .render import latex, text
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_CACHE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool stopped by a closed pipe
 
 _FORMATS = ("text", "latex", "json")
-# The printers of a character and of a q-polynomial, per non-JSON format.
-_PRINTERS = {"text": (bisymfunc_text, qpoly_text), "latex": (bisymfunc_latex, qpoly_latex)}
+_PRINTERS = {"text": text, "latex": latex}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +60,7 @@ def cmd_compute(args) -> int:
     if args.format == "json":
         print(character_json((args.n, args.k, args.l), value))
     else:
-        print(_PRINTERS[args.format][0](value))
+        print(_PRINTERS[args.format](value))
     return EXIT_OK
 
 
@@ -71,7 +72,7 @@ def cmd_betti(args) -> int:
     if args.format == "json":
         print(_dumps({"n": args.n, "poincare": poly.to_json_dict(), "betti": coeffs}))
     else:
-        print(_PRINTERS[args.format][1](poly))
+        print(_PRINTERS[args.format](poly))
         print(",".join(str(c) for c in coeffs))
     return EXIT_OK
 
@@ -104,7 +105,8 @@ def cmd_length_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_n(args.n_max, "--n-max")
+    if args.n_max is not None:  # without it, each suite keeps its own default
+        _require_n(args.n_max, "--n-max")
     calc = _calculator(args)
     result = run_suite(args.suite, calc, args.n_max)
     print(_dumps(result.to_json_dict()))
@@ -160,7 +162,7 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("verify", help="run a self-verification suite")
     sub.add_argument("--suite", required=True, choices=SUITES)
-    sub.add_argument("--n-max", type=int, default=10)
+    sub.add_argument("--n-max", type=int, help="largest n (default: the suite's own)")
     _add_common(sub, ())
     sub.set_defaults(func=cmd_verify)
 
@@ -176,7 +178,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's final flush stays
+        # quiet (the "Note on SIGPIPE" of the `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CacheError as exc:
         print(f"equichar: cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE

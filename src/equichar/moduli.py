@@ -2,8 +2,9 @@
 of pointed rational curves, by the blow-up recursion.
 
 The spaces carry n marked points split into k heavy points (weight 1) and
-n-k light points (weight 1/l); their rational cohomology is a bigraded
-character E(n, k, l) of S_k x S_(n-k) with polynomial q-grading.  Walking l
+n-k light points of a weight w in (1/(l+1), 1/l], so that up to l light
+points may meet; their rational cohomology is a bigraded character
+E(n, k, l) of S_k x S_(n-k) with polynomial q-grading.  Walking l
 between its extremes connects every E(n, k, l) to one of its bases:
 
 * the point, n = 3: h_k (x) h_(3-k);
@@ -43,7 +44,10 @@ Every stored key is checked (`_check_character`): all its Schur
 coefficients are effective palindromes of degree n-3 (Poincare duality) that
 do not decrease up to the middle degree (hard Lefschetz), and its q^0 and
 q^(n-3) coefficients are each exactly the trivial character
-s_(k) (x) s_(n-k).  A cache file that fails the check raises CacheError.
+s_(k) (x) s_(n-k).  The keys with an independent count of their Betti
+numbers, the full space at l <= 2 (Keel's recursion) and the Losev-Manin
+key (n, 2, n-2) (the Eulerian numbers), must also match it.  A cache file
+that fails the check raises CacheError.
 """
 
 import json
@@ -56,6 +60,7 @@ from pathlib import Path
 
 from .partitions import centralizer_order, partitions_of, split_factor, union
 from .qpoly import ExactDivisionError, QPoly
+from .oracles import eulerian_numbers, keel_betti
 from .symfunc import (
     POWERSUM,
     SCHUR,
@@ -261,8 +266,13 @@ def _check_character(key, value: BiSymFunc) -> None:
     at least its q^e part for 2e < n-3 (hard Lefschetz: an S_k x S_(n-k)
     invariant ample class maps H^2e into H^(2e+2) injectively and
     equivariantly), and the coefficient of q^0, hence also of q^(n-3), is
-    exactly s_(k) (x) s_(n-k), since H^0 is the trivial representation."""
-    n, k, _ = key
+    exactly s_(k) (x) s_(n-k), since H^0 is the trivial representation.
+
+    Where an independent count exists, the Betti numbers
+    (`dimension_poly`: c times the leg dimensions, summed over the terms)
+    must match it: Keel's recursion for l <= 2, the full space, and the
+    Eulerian numbers for the Losev-Manin key (n, 2, n-2)."""
+    n, k, l = key
     trivial = ((k,) if k else (), (n - k,) if n - k else ())
     top, rising = n - 3, (n - 2) // 2  # e < rising exactly when 2e < n-3
     for term, c in value.terms.items():
@@ -287,6 +297,13 @@ def _check_character(key, value: BiSymFunc) -> None:
                 )
     if trivial not in value.terms:
         raise ArithmeticError(f"E{key} lacks the trivial character in q^0 and q^{top}")
+    if l > 2 and (k, l) != (2, n - 2):
+        return  # no independent count of the Betti numbers
+    dimensions = value.dimension_poly()._c  # integers: the value is effective
+    betti = [dimensions.get(e, 0) for e in range(top + 1)]
+    expected = keel_betti(n) if l <= 2 else eulerian_numbers(n - 2)
+    if tuple(betti) != expected:
+        raise ArithmeticError(f"E{key} has the Betti numbers {betti}, not {list(expected)}")
 
 
 def character_json(key, value: BiSymFunc) -> str:
@@ -350,9 +367,8 @@ class CharacterCalculator:
             raise ValueError(f"m must lie in [1, {(n - k) // (l + 1)}]")
         if n - l * m < 3:
             raise ValueError("the blown-up stratum has no underlying moduli space")
-        degrees = (k, n - k)
-        packed = pack_terms({}, SCHUR, degrees, [self._correction(n, k, m, l)])
-        return BiSymFunc._raw(SCHUR, k, n - k, convert_packed(packed, SCHUR, degrees))
+        packed = pack_terms({}, SCHUR, (k, n - k), [self._correction(n, k, m, l)])
+        return BiSymFunc._raw(SCHUR, k, n - k, convert_packed(packed))
 
     # -- the recursion -----------------------------------------------------
 
@@ -457,8 +473,7 @@ class CharacterCalculator:
         stands, to power sums."""
         n, k, _ = key
         if isinstance(value, Packed):
-            degrees = (k, n - k)
-            in_schur = BiSymFunc._raw(SCHUR, k, n - k, convert_packed(value, SCHUR, degrees))
+            in_schur = BiSymFunc._raw(SCHUR, k, n - k, convert_packed(value))
             value = BiSymFunc._raw(POWERSUM, k, n - k, value.decode())
         else:
             in_schur = value.to_schur()

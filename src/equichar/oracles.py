@@ -213,12 +213,24 @@ def _mul(p: dict, dp: int, q: dict, dq: int) -> dict:
     return out
 
 
-@cache
-def _power_product(lam: tuple[int, ...]) -> dict:
-    """p_lam on dominant monomials, shared by suffix."""
-    if not lam:
-        return {(): 1}
-    return _mul({lam[:1]: 1}, lam[0], _power_product(lam[1:]), sum(lam) - lam[0])
+def _products(gm: dict, dg: int):
+    """The memoized map lam -> prod over a in lam of p_a[g], on dominant
+    monomials, for g of degree dg with int numerators gm on dominant
+    monomials; products are shared by suffix."""
+    products = {(): {(): 1}}
+
+    def product(lam):
+        if lam not in products:
+            a = lam[0]
+            pa = {tuple(a * x for x in gam): v for gam, v in gm.items()}
+            products[lam] = _mul(pa, a * dg, product(lam[1:]), dg * (sum(lam) - a))
+        return products[lam]
+
+    return product
+
+
+# p_lam on dominant monomials (g = p_1), shared by every call.
+_power_product = _products({(1,): 1}, 1)
 
 
 def _dominant(fp: SymFunc, product) -> tuple[dict, int]:
@@ -290,16 +302,7 @@ def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
     gm, d = _dominant(g.to_powersum(), _power_product)
     if d != 1 or any(v < 0 for v in gm.values()):
         raise ValueError("the inner operand must be monomial-positive")
-    products = {(): {(): 1}}
-
-    def product(lam):
-        if lam not in products:
-            a = lam[0]
-            pa = {tuple(a * x for x in gam): v for gam, v in gm.items()}
-            products[lam] = _mul(pa, a * dg, product(lam[1:]), dg * (sum(lam) - a))
-        return products[lam]
-
-    return _full(nvars, deg, *_dominant(f.to_powersum(), product))
+    return _full(nvars, deg, *_dominant(f.to_powersum(), _products(gm, dg)))
 
 
 @cache

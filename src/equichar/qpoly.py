@@ -291,9 +291,9 @@ class QPoly:
         return _make(c, 1)
 
     def __str__(self) -> str:
-        from .render import qpoly_text
+        from .render import text
 
-        return qpoly_text(self)
+        return text(self)
 
     def __repr__(self) -> str:
         return f"QPoly({self})"

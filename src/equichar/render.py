@@ -3,13 +3,13 @@
 Human-facing output lists Schur terms in reverse-lexicographic partition
 order (trivial representation first), with q-polynomials printed from the
 top power down.  JSON serialization instead follows the column order of
-`partitions`; both orders are deterministic.  One formatter serves both
-styles; `STYLES` holds everything in which they differ.
+`partitions`; both orders are deterministic.  One formatter, `_format`,
+serves every value and both styles; `STYLES` holds everything in which the
+styles differ.  `text` and `latex` read a (bi)symmetric function only
+through its `to_schur`, `terms`, `_degrees` and `_legs`.
 """
 
 from .qpoly import QPoly, rat_str
-from .symfunc import SymFunc
-from .bigraded import BiSymFunc
 
 # Per style: q^k for k > 1; a non-integer coefficient num/den in front of a
 # power of q (a constant term is always num or num/den); the mark between a
@@ -28,10 +28,20 @@ STYLES = {
 }
 
 
+def text(value) -> str:
+    """A QPoly, SymFunc or BiSymFunc as plain text."""
+    return _format(value, STYLES["text"])
+
+
+def latex(value) -> str:
+    """A QPoly, SymFunc or BiSymFunc as LaTeX."""
+    return _format(value, STYLES["latex"])
+
+
 def _qpoly(p: QPoly, style: dict) -> str:
     if p.is_zero():
         return "0"
-    text = ""
+    out = ""
     for k, v in reversed(p.items()):
         if k == 0:
             body = rat_str(v)
@@ -45,16 +55,8 @@ def _qpoly(p: QPoly, style: dict) -> str:
                 body = f"{v.numerator}{var}"
             else:
                 body = style["frac"].format(num=v.numerator, den=v.denominator) + var
-        text += body if not text or body.startswith("-") else "+" + body
-    return text
-
-
-def qpoly_text(p: QPoly) -> str:
-    return _qpoly(p, STYLES["text"])
-
-
-def qpoly_latex(p: QPoly) -> str:
-    return _qpoly(p, STYLES["latex"])
+        out += body if not out or body.startswith("-") else "+" + body
+    return out
 
 
 def _coeff_prefix(c: QPoly, style: dict) -> str:
@@ -70,43 +72,23 @@ def _coeff_prefix(c: QPoly, style: dict) -> str:
     return body + style["star"]
 
 
-def _schur_terms(terms: dict, legs: tuple[str, ...], style: dict) -> str:
-    """Schur terms {partition per leg: QPoly}; `legs` names each leg's symbol."""
-    if not terms:
+def _format(value, style: dict) -> str:
+    """`value` in `style`: a QPoly as a polynomial, a (bi)symmetric function
+    as its Schur terms.  One leg prints as s; two legs print as x and y,
+    except that an empty x leg (x-degree 0) leaves the y leg printed as s."""
+    if isinstance(value, QPoly):
+        return _qpoly(value, style)
+    fs = value.to_schur()
+    if not fs.terms:
         return "0"
+    degrees = fs._degrees
+    names = ("x", "y") if len(degrees) == 2 and degrees[0] else ("s", "s")
     pieces = []
-    for key in sorted(terms, reverse=True):
+    for key in sorted(fs.terms, reverse=True):
         symbols = [
-            style[leg].format(",".join(map(str, lam))) for leg, lam in zip(legs, key) if lam
+            style[name].format(",".join(map(str, lam)))
+            for name, lam in zip(names, fs._legs(key))
+            if lam
         ]
-        body = style["glue"].join(symbols) or "1"
-        pieces.append(_coeff_prefix(terms[key], style) + body)
+        pieces.append(_coeff_prefix(fs.terms[key], style) + (style["glue"].join(symbols) or "1"))
     return style["sep"].join(pieces)
-
-
-def _symfunc(f: SymFunc, style: dict) -> str:
-    fs = f.to_schur()
-    return _schur_terms({(lam,): c for lam, c in fs.terms.items()}, ("s",), style)
-
-
-def _bisymfunc(f: BiSymFunc, style: dict) -> str:
-    fs = f.to_schur()
-    if fs.xdeg == 0:
-        return _symfunc(fs.y_symfunc(), style)
-    return _schur_terms(fs.terms, ("x", "y"), style)
-
-
-def symfunc_text(f: SymFunc) -> str:
-    return _symfunc(f, STYLES["text"])
-
-
-def symfunc_latex(f: SymFunc) -> str:
-    return _symfunc(f, STYLES["latex"])
-
-
-def bisymfunc_text(f: BiSymFunc) -> str:
-    return _bisymfunc(f, STYLES["text"])
-
-
-def bisymfunc_latex(f: BiSymFunc) -> str:
-    return _bisymfunc(f, STYLES["latex"])

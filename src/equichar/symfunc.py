@@ -56,6 +56,7 @@ from .partitions import (
     union,
 )
 from .qpoly import QPoly
+from .render import text
 
 POWERSUM = "powersum"
 SCHUR = "schur"
@@ -155,17 +156,19 @@ class Packed:
     scale * p(2^bits), one base-2^bits digit per power of q.  Sums and
     integer multiples of packed values stay exact, and `decode` recovers
     the polynomials while every digit stays below 2^(bits-1) in absolute
-    value (`QPoly.pack`, `QPoly.unpack`)."""
+    value (`QPoly.pack`, `QPoly.unpack`).  `bits` is sized for the
+    conversion to `target` of legs of sizes `degrees` (`digit_bits`), the
+    one `convert_packed` makes."""
 
-    __slots__ = ("terms", "scale", "bits")
+    __slots__ = ("terms", "scale", "bits", "target", "degrees")
 
-    def __init__(self, terms: dict, scale: int, bits: int):
+    def __init__(self, terms: dict, scale: int, bits: int, target: str, degrees: tuple[int, ...]):
         self.terms, self.scale, self.bits = terms, scale, bits
+        self.target, self.degrees = target, degrees
 
-    def decode(self, divisor: int = 1) -> dict:
-        """{legs: QPoly}, each packed value divided by scale * divisor."""
-        d, bits = self.scale * divisor, self.bits
-        return {key: QPoly.unpack(x, bits, d) for key, x in self.terms.items()}
+    def decode(self) -> dict:
+        """{legs: QPoly}, each packed value divided by the scale."""
+        return {key: QPoly.unpack(x, self.bits, self.scale) for key, x in self.terms.items()}
 
 
 @cache
@@ -232,20 +235,18 @@ def pack_terms(
     acc = {key: c.pack(scale, bits) for key, c in terms.items()}
     for _, _, add in addends:
         add(acc, scale, bits, sign)
-    return Packed({key: x for key, x in acc.items() if x}, scale, bits)
+    return Packed({key: x for key, x in acc.items() if x}, scale, bits, target, degrees)
 
 
-def convert_packed(packed: Packed, target: str, degrees: tuple[int, ...]) -> dict:
-    """{legs: QPoly} in the `target` basis from packed values in the other,
-    one leg at a time (`_convert_leg`).
+def convert_packed(packed: Packed) -> dict:
+    """{legs: QPoly} in the basis `packed.target` from packed values in the
+    other, one leg at a time (`_convert_leg`).
 
     Keys are tuples holding one partition per leg, of the sizes in
-    `degrees`.  The only division, by the scale and by the product of the
-    leg factorials, comes in the decoding at the end.  `packed.bits` must
-    come from `digit_bits` for this target.
+    `packed.degrees`.  The only division, by the scale and, to power sums,
+    by the product of the leg factorials, comes in the decoding at the end.
     """
-    to_schur = target == SCHUR
-    divisor = 1 if to_schur else prod(factorial(d) for d in degrees)
+    degrees, to_schur = packed.degrees, packed.target == SCHUR
     terms = packed.terms
     for leg, degree in enumerate(degrees):
         if not degree:
@@ -259,7 +260,8 @@ def convert_packed(packed: Packed, target: str, degrees: tuple[int, ...]) -> dic
             for i, x in enumerate(_convert_leg(inputs, degree, to_schur)):
                 if x:
                     terms[rest[:leg] + (parts[i],) + rest[leg:]] = x
-    return Packed(terms, packed.scale, packed.bits).decode(divisor)
+    d = packed.scale * (1 if to_schur else prod(map(factorial, degrees)))
+    return {key: QPoly.unpack(x, packed.bits, d) for key, x in terms.items()}
 
 
 @cache
@@ -325,7 +327,7 @@ def _convert_leg(inputs, n: int, to_schur: bool) -> list:
 def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
     """Rewrite {legs: QPoly} in the `target` basis: `pack_terms`, then
     `convert_packed`."""
-    return convert_packed(pack_terms(terms, target, degrees), target, degrees)
+    return convert_packed(pack_terms(terms, target, degrees))
 
 
 def _acc(terms: dict, key, value: QPoly) -> None:
@@ -416,6 +418,25 @@ class _Terms:
                 _acc(out, key(tuple(map(union, left, b))), c * d)
         return self._raw(POWERSUM, *map(add, f._degrees, g._degrees), out)
 
+    def _derivative(self, leg: int, nu):
+        """The normalized power-sum derivative (prod_i 1/m_i!) d/dp_nu on one
+        leg, on monomials a marked removal of the sub-multiset nu from that
+        leg (`split_factor`).  Returns a power-sum result whose leg degree
+        is |nu| lower."""
+        nu = check_partition(nu)
+        f = self.to_powersum()
+        legs_of, key_of = self._legs, self._key
+        out: dict = {}
+        for key, c in f.terms.items():
+            legs = legs_of(key)
+            hit = split_factor(legs[leg], nu)
+            if hit is not None:
+                rest, count = hit
+                _acc(out, key_of(legs[:leg] + (rest,) + legs[leg + 1 :]), c * count)
+        degrees = list(f._degrees)
+        degrees[leg] -= sum(nu)
+        return self._raw(POWERSUM, *degrees, out)
+
     def __neg__(self):
         return self._new(self.basis, {key: -c for key, c in self.terms.items()})
 
@@ -463,14 +484,21 @@ class _Terms:
                 out[key] = QPoly(v)
         return self._new(self.basis, out)
 
+    def __str__(self) -> str:
+        return text(self)
+
     def dimension_poly(self) -> QPoly:
         """The graded dimension of the underlying representation: the sum of
         c times the product of the leg dimensions over the Schur terms, each
-        leg lam of dimension f^lam (hook lengths), an empty leg of 1."""
-        total = QPoly(0)
-        for key, c in self.to_schur().terms.items():
-            total = total + c * prod(irrep_dimension(leg) for leg in self._legs(key) if leg)
-        return total
+        leg lam of dimension f^lam (hook lengths), an empty leg of 1.  It is
+        summed on integer numerators over the terms' common denominator."""
+        terms = self.to_schur().terms
+        d, num = common_denominator(terms.values()), {}
+        for key, c in terms.items():
+            f = prod(map(irrep_dimension, filter(None, self._legs(key)))) * (d // c._d)
+            for e, v in c._c.items():
+                num[e] = num.get(e, 0) + f * v
+        return QPoly.from_numerators(num, d)
 
 
 class SymFunc(_Terms):
@@ -553,23 +581,8 @@ class SymFunc(_Terms):
         return SymFunc._raw(POWERSUM, f.degree * inner.degree, out)
 
     def pderiv(self, lam) -> "SymFunc":
-        """Normalized partial derivative: (prod_i 1/m_i!) d/dp_lam, on monomials
-        a marked removal of the sub-multiset lam.  Returns a power-sum result."""
-        lam = check_partition(lam) if lam else ()
-        f = self.to_powersum()
-        out: dict[tuple[int, ...], QPoly] = {}
-        for mu, c in f.terms.items():
-            hit = split_factor(mu, lam)
-            if hit is None:
-                continue
-            rest, count = hit
-            _acc(out, rest, c * count)
-        return SymFunc._raw(POWERSUM, f.degree - sum(lam), out)
-
-    def __str__(self) -> str:
-        from .render import symfunc_text
-
-        return symfunc_text(self)
+        """Normalized partial derivative (prod_i 1/m_i!) d/dp_lam, in power sums."""
+        return self._derivative(0, lam)
 
     def __repr__(self) -> str:
         return f"SymFunc({self.basis}, deg={self.degree}, {len(self.terms)} terms)"

@@ -542,8 +542,11 @@ def test_check_rejects_computed_broken_duality():
     broken = value + BiSymFunc(SCHUR, 3, 4, {term: QPoly.q()})
     with pytest.raises(ArithmeticError, match="duality"):
         moduli._check_character((7, 3, 2), broken)
-    # the palindromic edit q + q^3 of the middle degree 2 keeps duality
-    moduli._check_character((7, 3, 2), value + BiSymFunc(SCHUR, 3, 4, {term: QPoly({1: 1, 3: 1})}))
+    # the palindromic edit q + q^3 of the middle degree 2 keeps duality, but
+    # not the Betti numbers of Keel's recursion
+    kept = value + BiSymFunc(SCHUR, 3, 4, {term: QPoly({1: 1, 3: 1})})
+    with pytest.raises(ArithmeticError, match="Betti"):
+        moduli._check_character((7, 3, 2), kept)
 
 
 # A new term of E(7, 3, 2) with coefficient q + q^3: an effective palindrome
@@ -581,6 +584,34 @@ def test_check_rejects_computed_exponent_above_top():
     raised = value + BiSymFunc(SCHUR, 2, 4, {term: QPoly.q(4)})
     with pytest.raises(ArithmeticError, match="above"):
         moduli._check_character((6, 2, 3), raised)
+
+
+def test_cache_rejects_changed_betti_numbers(tmp_path, capsys):
+    """Raising the q^1 coefficient of s_(5) in E_5_0_2.json from 1 to 2
+    keeps every coefficient an effective, unimodal palindrome, but the
+    Betti numbers become 1,6,1, where Keel's recursion gives 1,5,1."""
+    CharacterCalculator(cache_dir=tmp_path).character(5)
+    path = tmp_path / "E_5_0_2.json"
+    payload = json.loads(path.read_text())
+    (term,) = [t for t in payload["terms"] if t["y"] == [5]]
+    assert term["coeff"] == {"0": "1", "1": "1", "2": "1"}
+    term["coeff"]["1"] = "2"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheError, match="verification.*Betti"):
+        CharacterCalculator(cache_dir=tmp_path).character(5)
+    assert main(["betti", "--n", "5", "--cache", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert "cache error" in captured.err and captured.out == ""
+
+
+def test_check_rejects_computed_changed_betti_numbers():
+    """q^2 added to one term of the Losev-Manin key E(7, 2, 5) leaves the
+    term an effective, unimodal palindrome; only the Eulerian count sees it."""
+    value = CharacterCalculator().character(7, 2, 5)
+    moduli._check_character((7, 2, 5), value)
+    changed = value + BiSymFunc(SCHUR, 2, 5, {((1, 1), (4, 1)): QPoly.q(2)})
+    with pytest.raises(ArithmeticError, match="Betti"):
+        moduli._check_character((7, 2, 5), changed)
 
 
 def test_cache_files_reencode_byte_identical(tmp_path):

@@ -2,7 +2,10 @@
 the names the package exports."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,22 +15,15 @@ from equichar import moduli
 from equichar.bigraded import BiSymFunc
 from equichar.cli import main
 from equichar.qpoly import QPoly
-from equichar.render import (
-    bisymfunc_latex,
-    bisymfunc_text,
-    qpoly_latex,
-    qpoly_text,
-    symfunc_latex,
-    symfunc_text,
-)
+from equichar.render import latex, text
 from equichar.symfunc import schur
 
 
 def test_qpoly_rendering():
     p = QPoly({3: 1, 2: 2, 0: 1})
-    assert qpoly_text(p) == "q^3+2q^2+1"
-    assert qpoly_latex(p) == "q^{3}+2q^{2}+1"
-    assert qpoly_text(QPoly()) == "0"
+    assert text(p) == "q^3+2q^2+1"
+    assert latex(p) == "q^{3}+2q^{2}+1"
+    assert text(QPoly()) == "0"
 
 
 def test_symfunc_text_ordering():
@@ -37,22 +33,22 @@ def test_symfunc_text_ordering():
         + schur((3, 2))
     )
     # rows ordered as printed tables: (5) before (4,1) before (3,2)
-    assert symfunc_text(f) == "(q+1)*s[5] + q*s[4,1] + s[3,2]"
+    assert text(f) == "(q+1)*s[5] + q*s[4,1] + s[3,2]"
 
 
 def test_symfunc_latex():
     f = QPoly({2: 1}) * schur((4, 2, 1))
-    assert symfunc_latex(f) == "q^{2}s_{(4,2,1)}"
+    assert latex(f) == "q^{2}s_{(4,2,1)}"
     g = QPoly({1: 2}) * schur((2,))
-    assert symfunc_latex(g) == "2qs_{(2)}"
+    assert latex(g) == "2qs_{(2)}"
 
 
 def test_bisymfunc_rendering():
     f = QPoly({1: 1, 0: 1}) * BiSymFunc.tensor(schur((2,)), schur((2,)))
-    assert bisymfunc_text(f) == "(q+1)*sx[2]*sy[2]"
-    assert bisymfunc_latex(f) == "(q+1)s^{x}_{(2)}s^{y}_{(2)}"
+    assert text(f) == "(q+1)*sx[2]*sy[2]"
+    assert latex(f) == "(q+1)s^{x}_{(2)}s^{y}_{(2)}"
     g = BiSymFunc.embed_y(schur((3,)))
-    assert bisymfunc_text(g) == "s[3]"
+    assert text(g) == "s[3]"
 
 
 def test_cli_compute_text(capsys):
@@ -164,6 +160,31 @@ def test_cli_verify_rejects_empty_range(capsys, suite, n_max):
 def test_cli_n_max_error_names_the_flag(capsys, argv):
     assert main(argv + ["--n-max", "2"]) == 1
     assert "--n-max must be at least 3" in capsys.readouterr().err
+
+
+def test_cli_verify_keeps_the_suite_default_n_max(capsys):
+    """Without --n-max a suite runs to its own default, length-theorem to 8."""
+    assert main(["verify", "--suite", "length-theorem"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [f"n={n}" for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("argv", [["compute", "--n", "12"], ["verify", "--suite", "oracles"]])
+def test_cli_closed_stdout_exits_141(argv):
+    """Output to a pipe whose read end is closed ends with exit 141
+    (128 + SIGPIPE) and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(equichar.__file__).resolve().parents[1]))
+    env.pop("EQUICHAR_CACHE", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "equichar.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, b"")
 
 
 def test_cli_usage_errors(capsys):
