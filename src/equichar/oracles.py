@@ -21,9 +21,18 @@ coefficient of x^gam) over one denominator.  A product reads
 [x^gam](P Q) = sum P[sort b] Q[sort(gam - b)] over the vectors 0 <= b <= gam
 with |b| = deg P, grouped once per (gam, deg P) into the structure constants
 of m_alpha m_beta.  p_a is m_(a), and p_a of the alphabet of g's monomials
-sends x^gam to x^(a gam).  Only the result is expanded to all monomials in
-nvars variables, once.  The Jacobi-Trudi determinant is expanded row by row
-over integer numerators on the common denominator n!.
+sends x^gam to x^(a gam).  The results are compared on dominant
+coefficients and expanded when read: the `MonomialPoly` they return holds
+the numerators per partition, and reading `terms` or `_c`, or doing
+arithmetic, expands it to all monomials in nvars variables, once.  Two such
+values are equal iff their nvars, denominators and dominant numerators are:
+with nvars >= deg every partition of deg is the sorted form of some
+monomial, the orbits are disjoint, and each monomial carries its orbit's
+numerator, so the expansion is injective.
+
+The Jacobi-Trudi oracle takes the shorter of det(h_(lam_i - i + j)), with
+len(lam) rows, and its dual det(e_(lam'_i - i + j)), with lam_1 rows, and
+expands it row by row over integer numerators on the common denominator n!.
 
 Two integer formulas check the recursion's Betti numbers at sizes the golden
 table does not reach: Keel's recursion for the full space, and the Eulerian
@@ -36,7 +45,7 @@ from functools import cache
 from math import comb, factorial, gcd, lcm, perm
 from types import MappingProxyType
 
-from .partitions import check_partition, partitions_of
+from .partitions import check_partition, conjugate, partitions_of
 from .qpoly import QPoly
 from .symfunc import POWERSUM, SymFunc
 
@@ -55,16 +64,19 @@ def _make(nvars: int, c: dict, d: int, deg: int) -> "MonomialPoly":
             d //= g
             c = {k: v // g for k, v in c.items()}
     res = MonomialPoly.__new__(MonomialPoly)
-    res.nvars, res.deg, res._c, res._d = nvars, deg, c, d
+    res.nvars, res.deg, res._monomials, res._d, res._dom = nvars, deg, c, d, None
     return res
 
 
 class MonomialPoly:
     """Polynomial in a fixed number of variables with rational coefficients:
-    packed exponent key -> int numerator, over one positive denominator."""
+    packed exponent key -> int numerator, over one positive denominator.
+
+    A symmetric value from `expand` or `oracle_plethysm` holds only its
+    dominant numerators {partition: v} until `_c` is first read."""
 
     MAX_EXPONENT = _MASK
-    __slots__ = ("nvars", "deg", "_c", "_d")
+    __slots__ = ("nvars", "deg", "_monomials", "_d", "_dom")
 
     def __init__(self, nvars: int, terms=()):
         self.nvars = int(nvars)
@@ -87,9 +99,10 @@ class MonomialPoly:
         fracs = {k: v for k, v in fracs.items() if v}
         # The lcm of reduced denominators leaves the numerators coprime to it.
         d = lcm(*(v.denominator for v in fracs.values()))
-        self._c = {k: v.numerator * (d // v.denominator) for k, v in fracs.items()}
+        self._monomials = {k: v.numerator * (d // v.denominator) for k, v in fracs.items()}
         self._d = d
         self.deg = deg if fracs else 0
+        self._dom = None
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MonomialPoly":
@@ -103,6 +116,15 @@ class MonomialPoly:
             vec[i] = k
             out[tuple(vec)] = 1
         return cls(nvars, out)
+
+    @property
+    def _c(self) -> dict:
+        """Packed exponent key -> int numerator; a symmetric value builds it
+        on first read, each monomial carrying its dominant one's numerator."""
+        if self._monomials is None:
+            orbits = _orbits(self.nvars, self.deg)
+            self._monomials = {key: v for gam, v in self._dom.items() for key in orbits[gam]}
+        return self._monomials
 
     @property
     def terms(self) -> MappingProxyType:
@@ -119,7 +141,13 @@ class MonomialPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self._d == other._d and self._c == other._c
+        if self.nvars != other.nvars or self._d != other._d:
+            return False
+        # Each orbit is non-empty (nvars >= deg) and the orbits are disjoint,
+        # so two symmetric values are equal iff their dominant numerators are.
+        if self._dom is not None and other._dom is not None:
+            return self._dom == other._dom
+        return self._c == other._c
 
     def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
         if self.nvars != other.nvars:
@@ -277,17 +305,21 @@ def _orbits(nvars: int, deg: int) -> dict:
     return out
 
 
-def _full(nvars: int, deg: int, num: dict, d: int) -> MonomialPoly:
-    """The MonomialPoly num / d, every monomial carrying its dominant one's numerator."""
-    orbits = _orbits(nvars, deg)
-    return _make(nvars, {key: v for gam, v in num.items() for key in orbits[gam]}, d, deg)
+def _symmetric(nvars: int, deg: int, num: dict, d: int) -> MonomialPoly:
+    """The symmetric MonomialPoly with the dominant numerators num over d, in
+    lowest terms, in nvars >= deg variables; its monomials wait for `_c`."""
+    res = MonomialPoly.__new__(MonomialPoly)
+    res.nvars, res.deg, res._monomials, res._d, res._dom = nvars, deg if num else 0, None, d, num
+    return res
 
 
 def expand(f: SymFunc, nvars: int) -> MonomialPoly:
-    """Evaluate a q-free symmetric function in nvars variables via p_k -> sum x_i^k."""
+    """Evaluate a q-free symmetric function in nvars variables via
+    p_k -> sum x_i^k.  The result is compared on its dominant coefficients
+    and expanded to all monomials when read."""
     fp = f.to_powersum()
     _check_room(nvars, fp.degree)
-    return _full(nvars, fp.degree, *_dominant(fp, _power_product))
+    return _symmetric(nvars, fp.degree, *_dominant(fp, _power_product))
 
 
 def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
@@ -295,58 +327,66 @@ def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
 
     g must expand with non-negative integer coefficients.  The result lives
     in nvars >= deg(f) * deg(g) variables, so it can be compared directly
-    against expand(f.pleth(g), nvars).
+    against expand(f.pleth(g), nvars); the two compare on their dominant
+    coefficients, and each is expanded to all monomials only when read.
     """
     dg, deg = g.degree, f.degree * g.degree
     _check_room(nvars, max(dg, deg))
     gm, d = _dominant(g.to_powersum(), _power_product)
     if d != 1 or any(v < 0 for v in gm.values()):
         raise ValueError("the inner operand must be monomial-positive")
-    return _full(nvars, deg, *_dominant(f.to_powersum(), _products(gm, dg)))
+    return _symmetric(nvars, deg, *_dominant(f.to_powersum(), _products(gm, dg)))
 
 
 @cache
-def _complete_homogeneous(k: int) -> dict[tuple[int, ...], int]:
-    """k! h_k on the power sums, by Newton's identity k h_k = sum p_i h_(k-i),
-    which over these integers reads k! h_k = sum (k-1)!/(k-i)! p_i (k-i)! h_(k-i)."""
+def _newton(k: int, sign: int) -> dict[tuple[int, ...], int]:
+    """k! h_k (sign 1) or k! e_k (sign -1) on the power sums, by Newton's
+    identities k h_k = sum p_i h_(k-i) and k e_k = sum (-1)^(i-1) p_i e_(k-i),
+    which over these integers read
+    k! h_k = sum (k-1)!/(k-i)! p_i (k-i)! h_(k-i), and alike for e_k."""
     if k == 0:
         return {(): 1}
     out: dict[tuple[int, ...], int] = {}
     for i in range(1, k + 1):
-        f = perm(k - 1, i - 1)
-        for mu, c in _complete_homogeneous(k - i).items():
+        f = perm(k - 1, i - 1) * sign ** (i - 1)
+        for mu, c in _newton(k - i, sign).items():
             key = tuple(sorted(mu + (i,), reverse=True))
             out[key] = out.get(key, 0) + f * c
     return out
 
 
 @cache
-def _times_complete(mu: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """p_mu times m! h_m, as pairs (partition, integer coefficient): each
-    merged key is sorted once per (mu, m), not once per determinant term."""
-    return tuple(
-        (tuple(sorted(mu + nu, reverse=True)), c) for nu, c in _complete_homogeneous(m).items()
-    )
+def _times_newton(mu: tuple[int, ...], m: int, sign: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """p_mu times `_newton(m, sign)`, as pairs (partition, integer
+    coefficient): each merged key is sorted once per (mu, m, sign), not once
+    per determinant term."""
+    return tuple((tuple(sorted(mu + nu, reverse=True)), c) for nu, c in _newton(m, sign).items())
 
 
 def jacobi_trudi_to_powersum(lam) -> SymFunc:
-    """s_lam as the determinant det(h_(lam_i - i + j)), expanded on power sums.
+    """s_lam as a Jacobi-Trudi determinant, expanded on power sums: the
+    shorter of det(h_(lam_i - i + j)), with len(lam) rows, and its dual
+    det(e_(lam'_i - i + j)) over the conjugate lam' (Macdonald I.(3.5)),
+    with lam_1 rows.
 
     The determinant is expanded row by row from the bottom up, skipping each
-    column whose entry h_m has m < 0 (a zero).  The rows above allow ever
-    more columns, so in this order every partial choice extends to a full
-    term of the determinant.  A product of m_i! h_(m_i) with sum m_i = n is
-    an integer combination of power sums, and prod m_i! divides n!, so the
-    sum is kept as integer numerators over n!.
+    column whose entry has a negative index (a zero).  The rows above allow
+    ever more columns, so in this order every partial choice extends to a
+    full term of the determinant.  A product of m_i! h_(m_i) (or of
+    m_i! e_(m_i)) with sum m_i = n is an integer combination of power sums,
+    and prod m_i! divides n!, so the sum is kept as integer numerators over
+    n!.
     """
     lam = check_partition(lam) if lam else ()
-    n, ell = sum(lam), len(lam)
-    nf = factorial(n)
+    n, sign = sum(lam), 1
+    if lam and lam[0] < len(lam):
+        lam, sign = conjugate(lam), -1
+    ell, nf = len(lam), factorial(n)
     acc: dict[tuple[int, ...], int] = {}
 
-    def rows(i: int, used: int, sign: int, den: int, prod: dict) -> None:
+    def rows(i: int, used: int, parity: int, den: int, prod: dict) -> None:
         if i < 0:
-            scale = sign * (nf // den)
+            scale = parity * (nf // den)
             for mu, c in prod.items():
                 acc[mu] = acc.get(mu, 0) + scale * c
             return
@@ -356,14 +396,17 @@ def jacobi_trudi_to_powersum(lam) -> SymFunc:
             m = lam[i] - i + j
             nxt: dict[tuple[int, ...], int] = {}
             for mu1, c1 in prod.items():
-                for key, c2 in _times_complete(mu1, m):
+                for key, c2 in _times_newton(mu1, m, sign):
                     nxt[key] = nxt.get(key, 0) + c1 * c2
             # each used column left of j belongs to a lower row: one inversion
             flip = (used & ((1 << j) - 1)).bit_count() & 1
-            rows(i - 1, used | 1 << j, -sign if flip else sign, den * factorial(m), nxt)
+            rows(i - 1, used | 1 << j, -parity if flip else parity, den * factorial(m), nxt)
 
     rows(ell - 1, 0, 1, 1, {(): 1})
-    return SymFunc(POWERSUM, n, {mu: QPoly(Fraction(c, nf)) for mu, c in acc.items() if c})
+    # the keys come out of `sorted` as partitions of n
+    return SymFunc._raw(POWERSUM, n, {
+        mu: QPoly.from_numerators({0: c}, nf) for mu, c in acc.items() if c
+    })
 
 
 @cache

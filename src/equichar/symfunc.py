@@ -588,14 +588,19 @@ class SymFunc(_Terms):
         return f"SymFunc({self.basis}, deg={self.degree}, {len(self.terms)} terms)"
 
 
-def powersum(lam, coeff=1) -> SymFunc:
+def _single(basis: str, lam, coeff) -> SymFunc:
+    """coeff times the basis element of lam, with lam validated once."""
     lam = check_partition(lam)
-    return SymFunc(POWERSUM, sum(lam), {lam: coeff})
+    c = coeff if isinstance(coeff, QPoly) else QPoly(coeff)
+    return SymFunc._raw(basis, sum(lam), {lam: c} if c else {})
+
+
+def powersum(lam, coeff=1) -> SymFunc:
+    return _single(POWERSUM, lam, coeff)
 
 
 def schur(lam, coeff=1) -> SymFunc:
-    lam = check_partition(lam)
-    return SymFunc(SCHUR, sum(lam), {lam: coeff})
+    return _single(SCHUR, lam, coeff)
 
 
 def one() -> SymFunc:

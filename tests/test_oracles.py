@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from equichar.oracles import (
     MonomialPoly,
+    _orbits,
     eulerian_numbers,
     expand,
     jacobi_trudi_to_powersum,
@@ -105,10 +106,14 @@ def test_jacobi_trudi_small():
     assert jacobi_trudi_to_powersum(()) == SymFunc(POWERSUM, 0, {(): 1})
 
 
-@given(partitions(max_size=8))
-@settings(deadline=None, max_examples=40)
-def test_jacobi_trudi_matches_character_path(lam):
-    assert jacobi_trudi_to_powersum(lam) == schur(lam).to_powersum()
+def test_jacobi_trudi_matches_character_path():
+    # every shape up to degree 10: tall ones (lam_1 < len) take the dual
+    # e-determinant, the others, lam_1 = len included, the h-determinant
+    shapes = [lam for n in range(11) for lam in partitions_of(n)]
+    assert any(lam[0] < len(lam) for lam in shapes[1:])
+    assert any(lam[0] == len(lam) for lam in shapes[1:])
+    for lam in shapes:
+        assert jacobi_trudi_to_powersum(lam) == schur(lam).to_powersum(), lam
 
 
 def test_monomial_poly_algebra():
@@ -273,3 +278,42 @@ def test_oracle_plethysm_matches_brute_reference():
 def test_oracle_plethysm_matches_brute_reference_in_degree_8(lam, mu):
     f, g = schur(lam), schur(mu)
     assert fields(oracle_plethysm(f, g, 8)) == fields(brute_plethysm(f, g, 8))
+
+
+# -- symmetric values compare on dominant monomials -------------------------
+
+
+def test_degree_8_comparison_builds_no_monomials():
+    f, g = schur((2,)), schur((2, 1, 1))
+    before = _orbits.cache_info().currsize
+    kernel, direct = expand(f.pleth(g), 8), oracle_plethysm(f, g, 8)
+    assert kernel == direct
+    assert _orbits.cache_info().currsize == before
+    assert kernel._monomials is None and direct._monomials is None
+
+
+def test_symmetric_value_equals_its_rebuilt_monomials():
+    f = schur((2, 1)) + Fraction(1, 3) * schur((1, 1, 1))
+    for nvars in (3, 5):
+        eager = MonomialPoly(nvars, expand(f, nvars).terms)
+        assert expand(f, nvars) == eager
+        assert eager == expand(f, nvars)
+        assert fields(expand(f, nvars)) == fields(eager)
+
+
+def test_symmetric_values_differ_in_one_dominant_coefficient_or_d_or_nvars():
+    f = schur((4,)) + schur((2, 2))
+    base = expand(f, 4)
+    # s_(1,1,1,1) is m_(1,1,1,1): one dominant coefficient moves
+    one_more = expand(f + schur((1, 1, 1, 1)), 4)
+    assert base._d == one_more._d and base._dom.keys() == one_more._dom.keys()
+    assert sum(base._dom[gam] != one_more._dom[gam] for gam in base._dom) == 1
+    # half of f has the same numerators over twice the denominator
+    half = expand(f.scale(Fraction(1, 2)), 4)
+    assert half._dom == base._dom and half._d == 2 * base._d
+    wider = expand(f, 5)
+    assert wider._dom == base._dom and wider._d == base._d
+    for other in (one_more, half, wider):
+        assert base != other and other != base
+    assert all(v._monomials is None for v in (base, one_more, half, wider))
+    assert expand(f, 4) == base

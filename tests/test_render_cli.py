@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import equichar
-from equichar import moduli
+from equichar import moduli, oracles, verify
 from equichar.bigraded import BiSymFunc
 from equichar.cli import main
 from equichar.qpoly import QPoly
@@ -103,6 +103,42 @@ def test_cli_failed_check_exits_2(monkeypatch, capsys):
     assert (payload["passed"], payload["failed"]) == (1, 5)
     assert [c["name"] for c in payload["checks"] if not c["ok"]] == [f"n={n}" for n in range(4, 9)]
     assert all("q^3 - q" in c["detail"] for c in payload["checks"] if not c["ok"])
+
+
+def test_cli_verify_oracles_reports_a_failed_betti_check(monkeypatch, capsys):
+    """A Keel count that the computed key contradicts fails the Keel check,
+    naming n, and the suite still prints its report."""
+    def keel(n):
+        return (1, 99, 1) if n == 5 else oracles.keel_betti(n)
+
+    monkeypatch.setattr(moduli, "keel_betti", keel)
+    monkeypatch.setattr(verify, "keel_betti", keel)
+    by_name = {c.name: c for c in verify.run_oracles(n_max=6).checks}
+    failed = by_name["betti numbers of E(n,0,1) vs keel's recursion n<=6"]
+    assert not failed.ok and failed.detail.startswith("[(5, ") and "[1, 99, 1]" in failed.detail
+    assert main(["verify", "--suite", "oracles", "--n-max", "6"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"][0] == {"name": failed.name, "ok": False, "detail": failed.detail}
+
+
+def test_cli_verify_reports_a_failed_recursion(monkeypatch, capsys):
+    """With the GIT base off by one, paper-examples and length-theorem fail
+    the keys they reach and still print their reports."""
+    real = moduli._git_numerator
+
+    def off_by_one(n, sums):
+        out = real(n, sums)
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(moduli, "_git_numerator", off_by_one)
+    assert main(["verify", "--suite", "paper-examples"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["passed"], payload["failed"]) == (0, len(verify.KNOWN_CHARACTERS))
+    assert all("q^3 - q" in c["detail"] for c in payload["checks"])
+    assert main(["verify", "--suite", "length-theorem", "--n-max", "6"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["n=4", "n=5", "n=6"]
 
 
 def test_cli_betti(capsys):

@@ -116,6 +116,15 @@ def test_constructors_reject_non_integer_parts():
             make([2.5])
 
 
+def test_single_term_constructors_match_the_checked_constructor():
+    for make, basis in ((schur, SCHUR), (powersum, POWERSUM)):
+        for lam, c in (((2, 1), 3), ([3, 1], Fraction(-1, 2)), ((), QPoly.q()), ((2,), 0)):
+            f = make(lam, c)
+            assert f == SymFunc(basis, sum(lam), {tuple(lam): c})
+            assert f.terms == SymFunc(basis, sum(lam), {tuple(lam): c}).terms
+        assert make((4, 2), 0).is_zero() and make((4, 2), 0).degree == 6
+
+
 def test_schur_to_powersum_small():
     assert schur((2,)).to_powersum().terms == {
         (2,): Fraction(1, 2),
