@@ -21,14 +21,19 @@ coefficient of x^gam) over one denominator.  A product reads
 [x^gam](P Q) = sum P[sort b] Q[sort(gam - b)] over the vectors 0 <= b <= gam
 with |b| = deg P, grouped once per (gam, deg P) into the structure constants
 of m_alpha m_beta.  p_a is m_(a), and p_a of the alphabet of g's monomials
-sends x^gam to x^(a gam).  The results are compared on dominant
-coefficients and expanded when read: the `MonomialPoly` they return holds
-the numerators per partition, and reading `terms` or `_c`, or doing
-arithmetic, expands it to all monomials in nvars variables, once.  Two such
+sends x^gam to x^(a gam).  The products p_lam[g] are memoized once per
+inner operand g, keyed by its degree and dominant numerators (`_products`),
+so every call with the same g shares them; `expand` reads the entry of
+g = p_1.  The results are compared on dominant coefficients and expanded
+when read: the `MonomialPoly` they return holds the numerators per
+partition, and reading `terms` or `_c`, or doing arithmetic other than a
+product, expands it to all monomials in nvars variables, once.  Two such
 values are equal iff their nvars, denominators and dominant numerators are:
 with nvars >= deg every partition of deg is the sorted form of some
 monomial, the orbits are disjoint, and each monomial carries its orbit's
-numerator, so the expansion is injective.
+numerator, so the expansion is injective.  For the same reason a product
+of two such values in nvars >= deg variables multiplies their dominant
+numerators and stays symmetric; any other product expands both.
 
 The Jacobi-Trudi oracle takes the shorter of det(h_(lam_i - i + j)), with
 len(lam) rows, and its dual det(e_(lam'_i - i + j)), with lam_1 rows, and
@@ -174,6 +179,9 @@ class MonomialPoly:
         deg = self.deg + other.deg
         if deg > _MASK:
             raise ValueError(f"total degree {deg} does not fit an exponent slot")
+        if self._dom is not None and other._dom is not None and self.nvars >= deg:
+            num = _mul(self._dom, self.deg, other._dom, other.deg)
+            return _symmetric(self.nvars, deg, *_reduced(num, self._d * other._d))
         out: dict[int, int] = {}
         get = out.get
         right = other._c.items()
@@ -241,24 +249,26 @@ def _mul(p: dict, dp: int, q: dict, dq: int) -> dict:
     return out
 
 
-def _products(gm: dict, dg: int):
+@cache
+def _products(dg: int, gm: tuple):
     """The memoized map lam -> prod over a in lam of p_a[g], on dominant
-    monomials, for g of degree dg with int numerators gm on dominant
-    monomials; products are shared by suffix."""
+    monomials, for g of degree dg with int numerators on dominant monomials,
+    given as sorted (partition, v) pairs.  There is one map per inner
+    operand, so its products are shared by suffix and across calls."""
     products = {(): {(): 1}}
 
     def product(lam):
         if lam not in products:
             a = lam[0]
-            pa = {tuple(a * x for x in gam): v for gam, v in gm.items()}
+            pa = {tuple(a * x for x in gam): v for gam, v in gm}
             products[lam] = _mul(pa, a * dg, product(lam[1:]), dg * (sum(lam) - a))
         return products[lam]
 
     return product
 
 
-# p_lam on dominant monomials (g = p_1), shared by every call.
-_power_product = _products({(1,): 1}, 1)
+# p_lam on dominant monomials: the products of g = p_1.
+_power_product = _products(1, (((1,), 1),))
 
 
 def _dominant(fp: SymFunc, product) -> tuple[dict, int]:
@@ -273,6 +283,11 @@ def _dominant(fp: SymFunc, product) -> tuple[dict, int]:
         s = c.numerator * (d // c.denominator)
         for gam, v in product(lam).items():
             num[gam] = num.get(gam, 0) + s * v
+    return _reduced(num, d)
+
+
+def _reduced(num: dict, d: int) -> tuple[dict, int]:
+    """The int numerators num over d > 0 in lowest terms, zeros dropped."""
     g = gcd(d, *num.values())
     return {gam: v // g for gam, v in num.items() if v}, d // g
 
@@ -335,7 +350,8 @@ def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
     gm, d = _dominant(g.to_powersum(), _power_product)
     if d != 1 or any(v < 0 for v in gm.values()):
         raise ValueError("the inner operand must be monomial-positive")
-    return _symmetric(nvars, deg, *_dominant(f.to_powersum(), _products(gm, dg)))
+    product = _products(dg, tuple(sorted(gm.items())))
+    return _symmetric(nvars, deg, *_dominant(f.to_powersum(), product))
 
 
 @cache

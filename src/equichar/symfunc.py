@@ -22,7 +22,9 @@ max (n!/z_mu) |chi^lam(mu)| to power sums).  Each digit of a leg's output
 is a combination of input digits with weights from one row of that matrix,
 so it cannot exceed the bound, and a single input term at the largest entry
 reaches it.  For S_14 max |chi| is 69 498 (17 bits), where the older bound
-(n!)^2 took 73 bits per leg.
+(n!)^2 took 73 bits per leg.  A value with a single term skips the packer:
+the conversion of its basis element with coefficient 1 is computed once
+per process (`_unit`) and scaled by the coefficient.
 
 The character values of S_n are held once per degree, in one flat
 `array('q')` in column-major order (`_table`), memoized globally.  Column
@@ -37,7 +39,11 @@ power sums, `complete(m)`, which needs no table.
 
 Plethysm twists the grading variable: p_a composed with q^k p_mu gives
 q^(a*k) p_(a*mu), while q-coefficients of the outer operand pass through
-untouched (the same convention the Kronecker product uses).
+untouched (the same convention the Kronecker product uses).  It runs on
+packed integers as well: each coefficient of the outer operand, and of the
+inner one stretched by a, is one integer at q = 2^bits, each step of a
+running product is one integer multiplication, and each output term is
+decoded once, with `bits` fixed before packing (`SymFunc.pleth`).
 """
 
 from array import array
@@ -175,10 +181,16 @@ class Packed:
 def _largest_entry(n: int, to_schur: bool) -> int:
     """The largest absolute entry of the matrix a leg of degree n is
     multiplied by: max |chi^lam(mu)| to Schur functions, max of
-    (n!/z_mu) |chi^lam(mu)| to power sums."""
-    table, size = _table(n), len(partitions_of(n))
+    (n!/z_mu) |chi^lam(mu)| to power sums.
+
+    To Schur functions it is the largest dimension f^lam, by hook lengths,
+    with no scan of the table.  chi^lam(mu) is the trace of the matrix of a
+    permutation of cycle type mu in the irreducible representation lam, of
+    dimension f^lam.  That matrix has finite order, so the trace is a sum of
+    f^lam roots of unity, and |chi^lam(mu)| <= f^lam = chi^lam(1^n)."""
     if to_schur:
-        return max(max(table), -min(table))
+        return max(map(irrep_dimension, partitions_of(n)))
+    table, size = _table(n), len(partitions_of(n))
     columns = (table[j * size : (j + 1) * size] for j in range(size))
     return max(max(max(c), -min(c)) * z for c, z in zip(columns, _class_sizes(n)))
 
@@ -330,6 +342,17 @@ def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:
     return convert_packed(pack_terms(terms, target, degrees))
 
 
+_ONE = QPoly(1)
+
+
+@cache
+def _unit(target: str, legs: tuple) -> tuple:
+    """The basis element with these legs (one partition each), coefficient
+    1, in the `target` basis, as (legs, QPoly) pairs from `change_basis`.
+    Shared; the QPolys are never mutated."""
+    return tuple(change_basis({legs: _ONE}, target, tuple(map(sum, legs))).items())
+
+
 def _acc(terms: dict, key, value: QPoly) -> None:
     s = terms.get(key)
     s = value if s is None else s + value
@@ -463,9 +486,18 @@ class _Terms:
         return hash((p._degrees, frozenset(p.terms.items())))
 
     def _convert(self, target: str):
+        """This value in the `target` basis: a single term c times the
+        cached conversion of its basis element (`_unit`), more terms through
+        `change_basis`.  The terms are always a new dict."""
         if self.basis == target:
             return self
         legs, key = self._legs, self._key
+        if len(self.terms) == 1:
+            ((k, c),) = self.terms.items()
+            pairs = _unit(target, legs(k))
+            if c != _ONE:
+                pairs = [(out, u * c) for out, u in pairs]
+            return self._new(target, {key(out): u for out, u in pairs})
         out = change_basis({legs(k): c for k, c in self.terms.items()}, target, self._degrees)
         return self._new(target, {key(k): c for k, c in out.items()})
 
@@ -552,33 +584,56 @@ class SymFunc(_Terms):
 
         Indices of the inner operand are stretched along with its q-powers
         (p_a o q^k p_mu = q^(ak) p_(a mu)); outer q-coefficients are inert.
+
+        The products run on packed integers.  Every outer coefficient c_lam
+        is packed over the outer's common denominator D_f, and every inner
+        coefficient g_mu, stretched by a, over the inner's D_g, at
+        q = 2^bits: g_mu(q^a) packs as g_mu at 2^(a bits).  A running
+        product over the parts of lam is then one int multiplication per
+        pair of terms; it carries D_g^len(lam), so each lam is brought to
+        D_g^L, L the longest lam, and every output term is decoded once,
+        over D_f D_g^L.
+
+        `bits` is fixed before packing.  The sum of the absolute digits of a
+        packed value (its `packed_norm`) bounds each of its digits, is
+        submultiplicative under products and subadditive under sums, and
+        does not change when a value is stretched.  So the digits of all
+        output terms together sum to at most
+        B = sum over lam of |c_lam| D_g^(L - len(lam)) N_g^len(lam), with
+        |c_lam| the norm of c_lam at D_f and N_g the sum of the inner's norms
+        at D_g, and with 2^(bits-1) > B no digit carries.
         """
         f, g = self.to_powersum(), inner.to_powersum()
-        power_cache: dict[int, dict] = {}
-        out: dict[tuple[int, ...], QPoly] = {}
+        df, dg = common_denominator(f.terms.values()), common_denominator(g.terms.values())
+        longest = max(map(len, f.terms), default=0)
+        inner_norm = sum(packed_norm(c, dg) for c in g.terms.values())
+        bound = sum(
+            packed_norm(c, df) * dg ** (longest - len(lam)) * inner_norm ** len(lam)
+            for lam, c in f.terms.items()
+        )
+        bits = bound.bit_length() + 1
+        stretched: dict[int, list] = {}  # a -> [(a mu, g_mu(q^a) packed)]
+        out: dict[tuple[int, ...], int] = {}
         for lam, c in f.terms.items():
-            running = None
+            running = {(): c.pack(df, bits) * dg ** (longest - len(lam))}
             for a in lam:
-                pa = power_cache.get(a)
+                pa = stretched.get(a)
                 if pa is None:
-                    pa = {
-                        tuple(x * a for x in mu): qc.stretch(a)
+                    pa = stretched[a] = [
+                        (tuple(x * a for x in mu), qc.pack(dg, a * bits))
                         for mu, qc in g.terms.items()
-                    }
-                    power_cache[a] = pa
-                if running is None:
-                    running = pa
-                    continue
-                nxt: dict[tuple[int, ...], QPoly] = {}
-                for k1, c1 in running.items():
-                    for k2, c2 in pa.items():
-                        _acc(nxt, union(k1, k2), c1 * c2)
+                    ]
+                nxt: dict[tuple[int, ...], int] = {}
+                for k1, x1 in running.items():
+                    for k2, x2 in pa:
+                        k = union(k1, k2)
+                        nxt[k] = nxt.get(k, 0) + x1 * x2
                 running = nxt
-            if running is None:  # the empty partition: p_() o g = 1
-                running = {(): QPoly(1)}
-            for nu, qc in running.items():
-                _acc(out, nu, qc * c)
-        return SymFunc._raw(POWERSUM, f.degree * inner.degree, out)
+            for nu, x in running.items():
+                out[nu] = out.get(nu, 0) + x
+        scale = df * dg**longest
+        terms = {nu: QPoly.unpack(x, bits, scale) for nu, x in out.items() if x}
+        return SymFunc._raw(POWERSUM, f.degree * inner.degree, terms)
 
     def pderiv(self, lam) -> "SymFunc":
         """Normalized partial derivative (prod_i 1/m_i!) d/dp_lam, in power sums."""

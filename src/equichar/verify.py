@@ -179,15 +179,16 @@ def _betti(poly: QPoly) -> tuple:
 
 
 def _failing(ns, holds) -> list:
-    """The n in ns for which holds(n) is false, and (n, message) for each n
-    whose recursion or check raised ArithmeticError."""
+    """The n in ns for which holds(n) is false, and (n, "not compared: "
+    message) for each n whose recursion or check raised ArithmeticError
+    before the comparison ran."""
     bad = []
     for n in ns:
         try:
             if not holds(n):
                 bad.append(n)
         except ArithmeticError as exc:
-            bad.append((n, str(exc)))
+            bad.append((n, f"not compared: {exc}"))
     return bad
 
 
@@ -198,7 +199,8 @@ def run_oracles(calc: CharacterCalculator | None = None, n_max: int = 12) -> Sui
     products against expanded polynomial multiplication; and the recursion's
     Betti numbers for n <= n_max against Keel's recursion (full space) and
     the Eulerian numbers (Losev-Manin chamber E(n, 2, n-2)); an
-    ArithmeticError of the recursion or its check fails n in those two."""
+    ArithmeticError of the recursion or its check fails n in those two as
+    "not compared"."""
     calc = calc or CharacterCalculator()
     rng = random.Random(_ORACLE_SEED)
     result = SuiteResult("oracles")

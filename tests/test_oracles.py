@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from equichar.oracles import (
     MonomialPoly,
+    _make,
     _orbits,
     eulerian_numbers,
     expand,
@@ -317,3 +318,33 @@ def test_symmetric_values_differ_in_one_dominant_coefficient_or_d_or_nvars():
         assert base != other and other != base
     assert all(v._monomials is None for v in (base, one_more, half, wider))
     assert expand(f, 4) == base
+
+
+def test_symmetric_product_equals_the_full_monomial_product():
+    """Two symmetric values in nvars >= deg variables multiply on dominant
+    monomials; the full-monomial product of their expansions is the same."""
+    values = [
+        schur((2, 1)) + Fraction(1, 3) * schur((1, 1, 1)),
+        schur((2,)).scale(Fraction(5, 2)),
+        schur((1,)),
+        schur(()),
+        schur((2, 1)) - schur((2, 1)),
+        powersum((2, 1)),
+    ]
+    for f in values:
+        for g in values:
+            deg = f.degree + g.degree
+            for n in range(max(f.degree, g.degree, deg - 1), deg + 2):
+                x, y = expand(f, n), expand(g, n)
+                full = _make(n, dict(x._c), x._d, x.deg) * _make(n, dict(y._c), y._d, y.deg)
+                got = x * y
+                # with fewer variables than the degree some partition has no
+                # monomial, so the product takes the full-monomial path (a
+                # zero value has degree 0)
+                symmetric = n >= x.deg + y.deg
+                assert (got._dom is not None and got._monomials is None) == symmetric
+                if n >= deg:
+                    assert got == expand(f * g, n)
+                assert fields(got) == fields(full)
+    x = expand(schur((1, 1)), 2)
+    assert (x * x)._dom is None and (x * x).terms == {(2, 2): 1}

@@ -121,6 +121,21 @@ def test_cli_verify_oracles_reports_a_failed_betti_check(monkeypatch, capsys):
     assert payload["checks"][0] == {"name": failed.name, "ok": False, "detail": failed.detail}
 
 
+def test_verify_oracles_does_not_file_a_raised_check_as_a_comparison(monkeypatch):
+    """E(5, 2, 3) needs E(5, 0, 2), whose own check raises under a patched
+    Keel count: the Eulerian record says its comparison did not run."""
+    def keel(n):
+        return (1, 99, 1) if n == 5 else oracles.keel_betti(n)
+
+    monkeypatch.setattr(moduli, "keel_betti", keel)
+    by_name = {c.name: c for c in verify.run_oracles(n_max=6).checks}
+    eulerian = by_name["betti numbers of E(n,2,n-2) vs eulerian numbers n<=6"]
+    assert not eulerian.ok
+    assert eulerian.detail == (
+        "[(5, 'not compared: E(5, 0, 2) has the Betti numbers [1, 5, 1], not [1, 99, 1]')]"
+    )
+
+
 def test_cli_verify_reports_a_failed_recursion(monkeypatch, capsys):
     """With the GIT base off by one, paper-examples and length-theorem fail
     the keys they reach and still print their reports."""

@@ -7,6 +7,8 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from equichar.bigraded import BiSymFunc
+from equichar.moduli import blowup_fiber_character
 from equichar.oracles import jacobi_trudi_to_powersum
 from equichar.partitions import centralizer_order, irrep_dimension, partitions_of, union
 from equichar.qpoly import QPoly
@@ -14,8 +16,11 @@ from equichar.symfunc import (
     POWERSUM,
     SCHUR,
     SymFunc,
+    _largest_entry,
+    _table,
     change_basis,
     character_value,
+    complete,
     one,
     pack_terms,
     powersum,
@@ -222,6 +227,58 @@ def test_change_basis_carry_bound_is_tight(n, target):
         assert got == _reference_change_basis({key: dict(coeff.items())}, target, degrees)
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_largest_character_value_is_the_largest_dimension(n):
+    table = _table(n)
+    assert _largest_entry(n, True) == max(max(table), -min(table))
+
+
+# --- one-term conversions, read from a cache ---------------------------------
+
+
+def _one_term_values():
+    """Single-term SymFuncs and BiSymFuncs in both bases, with q-graded and
+    fractional coefficients."""
+    coeffs = (1, Fraction(-3, 7), QPoly({0: Fraction(1, 2), 3: -5}), QPoly.q(2))
+    for n in (0, 1, 4, 6):
+        for lam in partitions_of(n)[::2]:
+            for c in coeffs:
+                yield SymFunc(SCHUR, n, {lam: c})
+                yield SymFunc(POWERSUM, n, {lam: c})
+    for x, y in (((), (3, 1)), ((2,), (2, 1)), ((3, 1, 1), (1,))):
+        for c in coeffs:
+            yield BiSymFunc(SCHUR, sum(x), sum(y), {(x, y): c})
+            yield BiSymFunc(POWERSUM, sum(x), sum(y), {(x, y): c})
+
+
+def test_one_term_conversions_match_change_basis():
+    for f in _one_term_values():
+        target = SCHUR if f.basis == POWERSUM else POWERSUM
+        got = f.to_schur() if target == SCHUR else f.to_powersum()
+        legs = {f._legs(k): c for k, c in f.terms.items()}
+        want = change_basis(legs, target, f._degrees)
+        assert got.basis == target and got._degrees == f._degrees
+        assert got.terms == {f._key(k): c for k, c in want.items()}
+
+
+def test_one_term_conversion_returns_a_fresh_dict():
+    for f in (
+        schur((3, 1)),
+        schur((3, 1), Fraction(2, 3)),
+        BiSymFunc(POWERSUM, 2, 1, {((1, 1), (1,)): 1}),
+        BiSymFunc(POWERSUM, 2, 1, {((1, 1), (1,)): QPoly.q()}),
+    ):
+        convert = f.to_schur if f.basis == POWERSUM else f.to_powersum
+        first = convert()
+        kept = dict(first.terms)
+        first.terms.pop(next(iter(first.terms)))
+        first.terms[next(iter(kept))[::-1]] = QPoly(99)
+        assert convert().terms == kept
+    assert schur((3, 1)).to_powersum().scale(Fraction(2, 3)).terms == (
+        schur((3, 1), Fraction(2, 3)).to_powersum().terms
+    )
+
+
 def test_cross_basis_equality():
     f = schur((2,)) + schur((1, 1))
     assert f == powersum((1, 1))
@@ -274,6 +331,83 @@ def test_kron_degree_mismatch():
 
 
 # --- plethysm ----------------------------------------------------------------
+
+
+def _reference_pleth(f, g):
+    """Plethysm with QPoly arithmetic throughout: each p_a o g is stretched
+    term by term and multiplied out as dicts of QPolys."""
+    f, g = f.to_powersum(), g.to_powersum()
+    out = {}
+
+    def add(terms, key, value):
+        s = terms.get(key, QPoly(0)) + value
+        if s.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = s
+
+    for lam, c in f.terms.items():
+        running = {(): QPoly(1)}
+        for a in lam:
+            pa = {tuple(x * a for x in mu): qc.stretch(a) for mu, qc in g.terms.items()}
+            nxt = {}
+            for k1, c1 in running.items():
+                for k2, c2 in pa.items():
+                    add(nxt, union(k1, k2), c1 * c2)
+            running = nxt
+        for nu, qc in running.items():
+            add(out, nu, qc * c)
+    return SymFunc(POWERSUM, f.degree * g.degree, out)
+
+
+def _assert_pleth_matches_reference(f, g):
+    got, want = f.pleth(g), _reference_pleth(f, g)
+    assert got.basis == POWERSUM and got.degree == want.degree
+    assert got.terms == want.terms
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("l", range(1, 5))
+def test_pleth_matches_reference_on_blowup_kernel_inputs(m, l):
+    """The glued characters of a blow-up step: a q-graded outer operand with
+    fractional coefficients, and h_(l+1) inside."""
+    fiber, glue = blowup_fiber_character(m, l), complete(l + 1)
+    for nu in partitions_of(m):
+        projected = powersum(nu).kron(fiber)
+        _assert_pleth_matches_reference(projected, glue)
+        _assert_pleth_matches_reference(glue, projected)
+
+
+def test_pleth_matches_reference_on_mixed_lengths_and_fractions():
+    outer = SymFunc(POWERSUM, 4, {
+        (4,): QPoly({0: Fraction(-2, 3), 2: 5}),
+        (2, 1, 1): Fraction(7, 12),
+        (1, 1, 1, 1): QPoly({1: Fraction(1, 24)}),
+        (2, 2): -1,
+    })
+    inner = SymFunc(POWERSUM, 2, {(2,): QPoly({0: Fraction(1, 2), 1: -3}), (1, 1): Fraction(-5, 6)})
+    _assert_pleth_matches_reference(outer, inner)
+    _assert_pleth_matches_reference(inner, outer)
+    _assert_pleth_matches_reference(schur((3, 1)) - schur((2, 2)).scale(Fraction(1, 9)), schur((2, 1)))
+    for a, b in ((1, 1), (2, 3), (3, 2), (1, 4)):
+        for lam in partitions_of(a):
+            for mu in partitions_of(b):
+                _assert_pleth_matches_reference(schur(lam), schur(mu))
+
+
+def test_pleth_matches_reference_on_the_empty_partition_and_zero():
+    g = SymFunc(POWERSUM, 2, {(2,): QPoly.q(), (1, 1): Fraction(1, 3)})
+    constant = SymFunc(POWERSUM, 0, {(): QPoly({0: Fraction(-4, 5), 1: 2})})
+    _assert_pleth_matches_reference(constant, g)
+    _assert_pleth_matches_reference(one(), g)
+    _assert_pleth_matches_reference(g, one())
+    _assert_pleth_matches_reference(constant + SymFunc.zero(0), SymFunc.zero(3))
+    for zero in (SymFunc.zero(3), SymFunc.zero(0)):
+        _assert_pleth_matches_reference(zero, g)
+        assert zero.pleth(g).is_zero()
+    _assert_pleth_matches_reference(g, SymFunc.zero(3))
+    assert g.pleth(SymFunc.zero(3)).is_zero() and g.pleth(SymFunc.zero(3)).degree == 6
+    assert constant.pleth(SymFunc.zero(3)).terms == constant.terms
 
 
 def test_plethysm_p2_in_p3():
