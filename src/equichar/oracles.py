@@ -20,20 +20,22 @@ polynomial of degree d is one int numerator per partition gam of d (the
 coefficient of x^gam) over one denominator.  A product reads
 [x^gam](P Q) = sum P[sort b] Q[sort(gam - b)] over the vectors 0 <= b <= gam
 with |b| = deg P, grouped once per (gam, deg P) into the structure constants
-of m_alpha m_beta.  p_a is m_(a), and p_a of the alphabet of g's monomials
-sends x^gam to x^(a gam).  The products p_lam[g] are memoized once per
-inner operand g, keyed by its degree and dominant numerators (`_products`),
-so every call with the same g shares them; `expand` reads the entry of
-g = p_1.  The results are compared on dominant coefficients and expanded
-when read: the `MonomialPoly` they return holds the numerators per
-partition, and reading `terms` or `_c`, or doing arithmetic other than a
-product, expands it to all monomials in nvars variables, once.  Two such
-values are equal iff their nvars, denominators and dominant numerators are:
-with nvars >= deg every partition of deg is the sorted form of some
-monomial, the orbits are disjoint, and each monomial carries its orbit's
-numerator, so the expansion is injective.  For the same reason a product
-of two such values in nvars >= deg variables multiplies their dominant
-numerators and stays symmetric; any other product expands both.
+of m_alpha m_beta.  The table of gam is assembled from the tables of its
+suffix gam[1:], with gam[0] split between alpha and beta, so no vector b is
+walked.  p_a is m_(a), and p_a of the alphabet of g's monomials sends x^gam
+to x^(a gam).  The products p_lam[g] are memoized once per inner operand
+g, keyed by its degree and dominant numerators (`_products`), so every call
+with the same g shares them; `expand` reads the entry of g = p_1.  The
+results are compared on dominant coefficients and expanded when read: the
+`MonomialPoly` they return holds the numerators per partition, and reading
+`terms` or `_c`, or doing arithmetic other than a product, expands it to
+all monomials in nvars variables, once.  Two such values are equal iff
+their nvars, denominators and dominant numerators are: with nvars >= deg
+every partition of deg is the sorted form of some monomial, the orbits are
+disjoint, and each monomial carries its orbit's numerator, so the expansion
+is injective.  For the same reason a product of two such values in
+nvars >= deg variables multiplies their dominant numerators and stays
+symmetric; any other product expands both.
 
 The Jacobi-Trudi oracle takes the shorter of det(h_(lam_i - i + j)), with
 len(lam) rows, and its dual det(e_(lam'_i - i + j)), with lam_1 rows, and
@@ -203,12 +205,6 @@ class MonomialPoly:
         return f"MonomialPoly(nvars={self.nvars}, {len(self._c)} terms)"
 
 
-def _constant_coeff(c: QPoly) -> Fraction:
-    if c.degree > 0:
-        raise ValueError("monomial expansion is defined for q-free input only")
-    return c.coeff(0)
-
-
 def _check_room(nvars: int, deg: int) -> None:
     if nvars < deg:
         raise ValueError(f"need at least {deg} variables to stay faithful")
@@ -217,23 +213,28 @@ def _check_room(nvars: int, deg: int) -> None:
 
 
 @cache
+def _with(lam: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The partition lam with the part x inserted; x = 0 leaves lam."""
+    return tuple(sorted(lam + (x,), reverse=True)) if x else lam
+
+
+@cache
 def _splits(gam: tuple[int, ...], e: int) -> dict:
     """alpha -> ((beta, n), ...): n vectors 0 <= b <= gam with |b| = e sort
-    to alpha while gam - b sorts to beta, so n = [m_gam](m_alpha m_beta)."""
+    to alpha while gam - b sorts to beta, so n = [m_gam](m_alpha m_beta).
+
+    Built from the table of the suffix gam[1:]: a vector with b_0 = x is one
+    of its vectors with x put into alpha and gam[0] - x into beta."""
+    if not gam:
+        return {(): (((), 1),)}
+    g, rest = gam[0], gam[1:]
     found: dict = {}
-    tail = [sum(gam[i:]) for i in range(len(gam) + 1)]
-
-    def walk(i: int, left: int, b: list) -> None:
-        if i == len(gam):
-            alpha = tuple(sorted((x for x in b if x), reverse=True))
-            beta = tuple(sorted((g - x for g, x in zip(gam, b) if g != x), reverse=True))
-            row = found.setdefault(alpha, {})
-            row[beta] = row.get(beta, 0) + 1
-            return
-        for x in range(max(0, left - tail[i + 1]), min(gam[i], left) + 1):
-            walk(i + 1, left - x, b + [x])
-
-    walk(0, e, [])
+    for x in range(max(0, e - sum(rest)), min(g, e) + 1):
+        for alpha, pairs in _splits(rest, e - x).items():
+            row = found.setdefault(_with(alpha, x), {})
+            for beta, n in pairs:
+                beta = _with(beta, g - x)
+                row[beta] = row.get(beta, 0) + n
     return {alpha: tuple(row.items()) for alpha, row in found.items()}
 
 
@@ -274,13 +275,16 @@ _power_product = _products(1, (((1,), 1),))
 def _dominant(fp: SymFunc, product) -> tuple[dict, int]:
     """The sum of c * product(lam) over the terms c p_lam of fp, as int
     numerators on dominant monomials over one denominator, in lowest terms.
-    Each product(lam) has int coefficients, so the lcm of the c's
-    denominators is a common denominator."""
-    coeffs = {lam: _constant_coeff(c) for lam, c in fp.terms.items()}
-    d = lcm(*(c.denominator for c in coeffs.values()))
+    Each q-free c is its constant numerator over its denominator, and each
+    product(lam) has int coefficients, so the lcm of the c's denominators is
+    a common denominator."""
+    terms = fp.terms
+    if any(c.degree > 0 for c in terms.values()):
+        raise ValueError("monomial expansion is defined for q-free input only")
+    d = lcm(*(c._d for c in terms.values()))
     num: dict = {}
-    for lam, c in coeffs.items():
-        s = c.numerator * (d // c.denominator)
+    for lam, c in terms.items():
+        s = c._c.get(0, 0) * (d // c._d)
         for gam, v in product(lam).items():
             num[gam] = num.get(gam, 0) + s * v
     return _reduced(num, d)

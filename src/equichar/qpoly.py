@@ -237,7 +237,10 @@ class QPoly:
     @classmethod
     def unpack(cls, x: int, bits: int, divisor: int) -> "QPoly":
         """The polynomial whose coefficients are the balanced base-2^bits
-        digits of x, each divided by `divisor`."""
+        digits of x, each divided by `divisor`.  A nonzero x needs bits >= 2:
+        the balanced base-2 digits 0 and -1 sum to no positive number."""
+        if bits < 2 and x:
+            raise ValueError(f"{bits} bits hold no balanced digits of a nonzero value")
         base = 1 << bits
         out: dict[int, int] = {}
         k = 0

@@ -11,6 +11,7 @@ from equichar.oracles import (
     MonomialPoly,
     _make,
     _orbits,
+    _splits,
     eulerian_numbers,
     expand,
     jacobi_trudi_to_powersum,
@@ -241,6 +242,33 @@ def brute_plethysm(f, g, nvars):
         return prod
 
     return brute_powersum_sum(f.to_powersum(), nvars, product)
+
+
+def brute_splits(gam, e):
+    """The structure constants by walking every vector 0 <= b <= gam with |b| = e."""
+    found = {}
+    tail = [sum(gam[i:]) for i in range(len(gam) + 1)]
+
+    def walk(i, left, b):
+        if i == len(gam):
+            alpha = tuple(sorted((x for x in b if x), reverse=True))
+            beta = tuple(sorted((g - x for g, x in zip(gam, b) if g != x), reverse=True))
+            row = found.setdefault(alpha, {})
+            row[beta] = row.get(beta, 0) + 1
+            return
+        for x in range(max(0, left - tail[i + 1]), min(gam[i], left) + 1):
+            walk(i + 1, left - x, b + [x])
+
+    walk(0, e, [])
+    return {alpha: tuple(row.items()) for alpha, row in found.items()}
+
+
+def test_splits_match_the_vector_walk():
+    for d in range(11):
+        for gam in partitions_of(d):
+            for e in range(-1, d + 2):
+                got = {alpha: dict(row) for alpha, row in _splits(gam, e).items()}
+                assert got == {alpha: dict(row) for alpha, row in brute_splits(gam, e).items()}, (gam, e)
 
 
 def fields(m):

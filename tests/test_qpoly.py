@@ -136,6 +136,14 @@ def test_unpack_inverts_integer_combinations_of_packed_values(a, b, m):
     assert QPoly.unpack(x, 16, 12) == m * a + b
 
 
+@pytest.mark.parametrize("x", [1, 5, -1, -6])
+def test_unpack_rejects_fewer_than_two_bits_for_a_nonzero_value(x):
+    for bits in (0, 1):
+        with pytest.raises(ValueError):
+            QPoly.unpack(x, bits, 1)
+        assert QPoly.unpack(0, bits, 1) == 0
+
+
 def test_evaluate():
     p = QPoly({3: 1, 2: 16, 1: 16, 0: 1})
     assert p.evaluate(1) == 34
