@@ -9,9 +9,9 @@ from itertools import groupby
 from math import comb
 from operator import index
 
-from .partitions import partitions_of, union
+from .partitions import partitions_of
 from .qpoly import QPoly
-from .symfunc import POWERSUM, SCHUR, SymFunc, _acc, _partition_index, _Terms
+from .symfunc import POWERSUM, SCHUR, SymFunc, _partition_index, _Terms
 
 
 class BiSymFunc(_Terms):
@@ -69,18 +69,6 @@ class BiSymFunc(_Terms):
     def deriv_x(self, nu) -> "BiSymFunc":
         """Normalized power-sum derivative applied to the x-leg only."""
         return self._derivative(0, nu)
-
-    def swap_legs(self) -> "BiSymFunc":
-        out = {(ly, lx): c for (lx, ly), c in self.terms.items()}
-        return BiSymFunc._raw(self.basis, self.ydeg, self.xdeg, out)
-
-    def induce(self) -> SymFunc:
-        """Induction product of the two legs: characters multiply in Lambda."""
-        f = self.to_powersum()
-        out: dict[tuple[int, ...], QPoly] = {}
-        for (lx, ly), c in f.terms.items():
-            _acc(out, union(lx, ly), c)
-        return SymFunc._raw(POWERSUM, f.xdeg + f.ydeg, out)
 
     def y_symfunc(self) -> SymFunc:
         if self.xdeg != 0:

@@ -1,41 +1,30 @@
 """Independent cross-checks for the symmetric-function kernel and the recursion.
 
 Two deliberately different computation paths live here: expansion into an
-honest polynomial in finitely many variables (faithful once the variable
-count reaches the degree), and the Jacobi-Trudi determinant fed by Newton's
-identities.  Neither shares code with the Murnaghan-Nakayama kernel,
-`QPoly.pack` or `change_basis`: the exact integer arithmetic below is the
-oracles' own.
+honest polynomial in finitely many variables, and the Jacobi-Trudi
+determinant fed by Newton's identities.  Neither shares code with the
+Murnaghan-Nakayama kernel, `QPoly.pack` or `change_basis`: the exact integer
+arithmetic below is the oracles' own.
 
-A `MonomialPoly` packs each exponent vector into one int (Kronecker
-substitution: variable i owns the bits from i * 16 up), so multiplying two
-monomials is one integer addition and raising a monomial to the a-th power
-is a multiplication of its key by a.  Its coefficients are int numerators
-over one positive denominator, in lowest terms.  The constructor rejects an
-exponent that does not fit a slot, and a product checks that the two total
-degrees do, so an exponent never carries into the next variable.
+`expand` and `oracle_plethysm` return a `SymmetricPoly`: a symmetric
+polynomial of degree deg in nvars >= deg variables, held as one int
+numerator per partition gam of deg (the coefficient of the dominant monomial
+x^gam) over one positive denominator, in lowest terms.  No other monomial is
+ever built.  Comparing these numerators is faithful: with nvars >= deg every
+partition of deg is the sorted form of some monomial, the orbits of
+different partitions are disjoint, and a symmetric polynomial carries its
+orbit's coefficient on every monomial, so two values are equal iff their
+nvars, denominators and dominant numerators are.
 
-`expand` and `oracle_plethysm` compute on dominant monomials: a symmetric
-polynomial of degree d is one int numerator per partition gam of d (the
-coefficient of x^gam) over one denominator.  A product reads
-[x^gam](P Q) = sum P[sort b] Q[sort(gam - b)] over the vectors 0 <= b <= gam
-with |b| = deg P, grouped once per (gam, deg P) into the structure constants
-of m_alpha m_beta.  The table of gam is assembled from the tables of its
-suffix gam[1:], with gam[0] split between alpha and beta, so no vector b is
-walked.  p_a is m_(a), and p_a of the alphabet of g's monomials sends x^gam
-to x^(a gam).  The products p_lam[g] are memoized once per inner operand
-g, keyed by its degree and dominant numerators (`_products`), so every call
-with the same g shares them; `expand` reads the entry of g = p_1.  The
-results are compared on dominant coefficients and expanded when read: the
-`MonomialPoly` they return holds the numerators per partition, and reading
-`terms` or `_c`, or doing arithmetic other than a product, expands it to
-all monomials in nvars variables, once.  Two such values are equal iff
-their nvars, denominators and dominant numerators are: with nvars >= deg
-every partition of deg is the sorted form of some monomial, the orbits are
-disjoint, and each monomial carries its orbit's numerator, so the expansion
-is injective.  For the same reason a product of two such values in
-nvars >= deg variables multiplies their dominant numerators and stays
-symmetric; any other product expands both.
+A product reads [x^gam](P Q) = sum P[sort b] Q[sort(gam - b)] over the
+vectors 0 <= b <= gam with |b| = deg P, grouped once per (gam, deg P) into
+the structure constants of m_alpha m_beta.  The table of gam is assembled
+from the tables of its suffix gam[1:], with gam[0] split between alpha and
+beta, so no vector b is walked.  A product needs as many variables as its
+degree.  p_a is m_(a), and p_a of the alphabet of g's monomials sends x^gam
+to x^(a gam).  The products p_lam[g] are memoized once per inner operand g,
+keyed by its degree and dominant numerators (`_products`), so every call
+with the same g shares them; `expand` reads the entry of g = p_1.
 
 The Jacobi-Trudi oracle takes the shorter of det(h_(lam_i - i + j)), with
 len(lam) rows, and its dual det(e_(lam'_i - i + j)), with lam_1 rows, and
@@ -46,170 +35,47 @@ table does not reach: Keel's recursion for the full space, and the Eulerian
 numbers for the Losev-Manin chamber E(n, 2, n-2).
 """
 
-from collections.abc import Mapping
-from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm, perm
-from types import MappingProxyType
 
 from .partitions import check_partition, conjugate, partitions_of
 from .qpoly import QPoly
 from .symfunc import POWERSUM, SymFunc
 
-_BITS = 16
-_MASK = (1 << _BITS) - 1
 
+class SymmetricPoly:
+    """A symmetric polynomial of degree deg in nvars >= deg variables with
+    rational coefficients: the int numerators {partition of deg: v} of its
+    dominant monomials over one positive denominator, in lowest terms."""
 
-def _make(nvars: int, c: dict, d: int, deg: int) -> "MonomialPoly":
-    """The MonomialPoly c / d for packed keys with int numerators c (no zeros)
-    and d > 0, reduced; deg bounds the total degree of every monomial."""
-    if not c:
-        d, deg = 1, 0
-    elif d != 1:
-        g = gcd(d, *c.values())
-        if g != 1:
-            d //= g
-            c = {k: v // g for k, v in c.items()}
-    res = MonomialPoly.__new__(MonomialPoly)
-    res.nvars, res.deg, res._monomials, res._d, res._dom = nvars, deg, c, d, None
-    return res
+    __slots__ = ("nvars", "deg", "num", "den")
 
-
-class MonomialPoly:
-    """Polynomial in a fixed number of variables with rational coefficients:
-    packed exponent key -> int numerator, over one positive denominator.
-
-    A symmetric value from `expand` or `oracle_plethysm` holds only its
-    dominant numerators {partition: v} until `_c` is first read."""
-
-    MAX_EXPONENT = _MASK
-    __slots__ = ("nvars", "deg", "_monomials", "_d", "_dom")
-
-    def __init__(self, nvars: int, terms=()):
-        self.nvars = int(nvars)
-        fracs: dict[int, Fraction] = {}
-        deg = 0
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for vec, c in items:
-            vec = tuple(vec)
-            if len(vec) != self.nvars:
-                raise ValueError("exponent vector length must equal nvars")
-            key = 0
-            for i, e in enumerate(vec):
-                if not 0 <= e <= _MASK:
-                    raise ValueError(f"exponent {e} is outside 0..{_MASK}")
-                key |= e << (i * _BITS)
-            c = Fraction(c)
-            if c:
-                fracs[key] = fracs.get(key, 0) + c
-                deg = max(deg, sum(vec))
-        fracs = {k: v for k, v in fracs.items() if v}
-        # The lcm of reduced denominators leaves the numerators coprime to it.
-        d = lcm(*(v.denominator for v in fracs.values()))
-        self._monomials = {k: v.numerator * (d // v.denominator) for k, v in fracs.items()}
-        self._d = d
-        self.deg = deg if fracs else 0
-        self._dom = None
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "MonomialPoly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def power_sum(cls, nvars: int, k: int) -> "MonomialPoly":
-        out = {}
-        for i in range(nvars):
-            vec = [0] * nvars
-            vec[i] = k
-            out[tuple(vec)] = 1
-        return cls(nvars, out)
-
-    @property
-    def _c(self) -> dict:
-        """Packed exponent key -> int numerator; a symmetric value builds it
-        on first read, each monomial carrying its dominant one's numerator."""
-        if self._monomials is None:
-            orbits = _orbits(self.nvars, self.deg)
-            self._monomials = {key: v for gam, v in self._dom.items() for key in orbits[gam]}
-        return self._monomials
-
-    @property
-    def terms(self) -> MappingProxyType:
-        """Read-only view: exponent vector -> Fraction coefficient."""
-        shifts = range(0, self.nvars * _BITS, _BITS)
-        return MappingProxyType({
-            tuple((k >> s) & _MASK for s in shifts): Fraction(v, self._d)
-            for k, v in self._c.items()
-        })
+    def __init__(self, nvars: int, deg: int, num: dict, den: int):
+        self.nvars, self.deg, self.num, self.den = nvars, deg if num else 0, num, den
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.num
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialPoly):
+        if not isinstance(other, SymmetricPoly):
             return NotImplemented
-        if self.nvars != other.nvars or self._d != other._d:
-            return False
-        # Each orbit is non-empty (nvars >= deg) and the orbits are disjoint,
-        # so two symmetric values are equal iff their dominant numerators are.
-        if self._dom is not None and other._dom is not None:
-            return self._dom == other._dom
-        return self._c == other._c
+        return (self.nvars, self.den, self.num) == (other.nvars, other.den, other.num)
 
-    def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        d = lcm(self._d, other._d)
-        s1, s2 = d // self._d, d // other._d
-        out = {k: v * s1 for k, v in self._c.items()}
-        for k, v in other._c.items():
-            s = out.get(k, 0) + v * s2
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _make(self.nvars, out, d, max(self.deg, other.deg))
-
-    def scale(self, c) -> "MonomialPoly":
-        c = Fraction(c)
-        out = {k: v * c.numerator for k, v in self._c.items()} if c else {}
-        return _make(self.nvars, out, self._d * c.denominator, self.deg)
-
-    def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
+    def __mul__(self, other: "SymmetricPoly") -> "SymmetricPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
         deg = self.deg + other.deg
-        if deg > _MASK:
-            raise ValueError(f"total degree {deg} does not fit an exponent slot")
-        if self._dom is not None and other._dom is not None and self.nvars >= deg:
-            num = _mul(self._dom, self.deg, other._dom, other.deg)
-            return _symmetric(self.nvars, deg, *_reduced(num, self._d * other._d))
-        out: dict[int, int] = {}
-        get = out.get
-        right = other._c.items()
-        for k1, c1 in self._c.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return _make(self.nvars, {k: v for k, v in out.items() if v}, self._d * other._d, deg)
-
-    def adams(self, a: int) -> "MonomialPoly":
-        """Substitute x_i -> x_i^a.  On the expansion of a monomial-positive g,
-        read as an alphabet of monomials, this is p_a of that alphabet."""
-        deg = self.deg * a
-        if deg > _MASK:
-            raise ValueError(f"total degree {deg} does not fit an exponent slot")
-        return _make(self.nvars, {k * a: v for k, v in self._c.items()}, self._d, deg)
+        _check_room(self.nvars, deg)
+        num = _mul(self.num, self.deg, other.num, other.deg)
+        return SymmetricPoly(self.nvars, deg, *_reduced(num, self.den * other.den))
 
     def __repr__(self) -> str:
-        return f"MonomialPoly(nvars={self.nvars}, {len(self._c)} terms)"
+        return f"SymmetricPoly(nvars={self.nvars}, deg={self.deg}, {len(self.num)} terms)"
 
 
 def _check_room(nvars: int, deg: int) -> None:
     if nvars < deg:
         raise ValueError(f"need at least {deg} variables to stay faithful")
-    if deg > _MASK:
-        raise ValueError(f"total degree {deg} does not fit an exponent slot")
 
 
 @cache
@@ -226,7 +92,7 @@ def _splits(gam: tuple[int, ...], e: int) -> dict:
     Built from the table of the suffix gam[1:]: a vector with b_0 = x is one
     of its vectors with x put into alpha and gam[0] - x into beta."""
     if not gam:
-        return {(): (((), 1),)}
+        return {(): (((), 1),)} if e == 0 else {}
     g, rest = gam[0], gam[1:]
     found: dict = {}
     for x in range(max(0, e - sum(rest)), min(g, e) + 1):
@@ -296,58 +162,20 @@ def _reduced(num: dict, d: int) -> tuple[dict, int]:
     return {gam: v // g for gam, v in num.items() if v}, d // g
 
 
-@cache
-def _orbits(nvars: int, deg: int) -> dict:
-    """Every packed exponent vector of degree deg in nvars >= deg variables,
-    grouped by the partition it sorts to.  The keys for variables i.. holding
-    a given multiset of exponents are made once, for every partition."""
-    memo: dict = {}
-
-    def keys(i: int, counts: tuple) -> list:  # counts[v]: variables i.. holding v
-        if i == nvars:
-            return [0]
-        if (i, counts) not in memo:
-            got = []
-            for v, m in enumerate(counts):
-                if m:
-                    rest = keys(i + 1, counts[:v] + (m - 1,) + counts[v + 1:])
-                    got += [(v << i * _BITS) + k for k in rest]
-            memo[i, counts] = got
-        return memo[i, counts]
-
-    out = {}
-    for gam in partitions_of(deg):
-        counts = [nvars - len(gam)] + [0] * deg
-        for v in gam:
-            counts[v] += 1
-        out[gam] = tuple(keys(0, tuple(counts)))
-    return out
-
-
-def _symmetric(nvars: int, deg: int, num: dict, d: int) -> MonomialPoly:
-    """The symmetric MonomialPoly with the dominant numerators num over d, in
-    lowest terms, in nvars >= deg variables; its monomials wait for `_c`."""
-    res = MonomialPoly.__new__(MonomialPoly)
-    res.nvars, res.deg, res._monomials, res._d, res._dom = nvars, deg if num else 0, None, d, num
-    return res
-
-
-def expand(f: SymFunc, nvars: int) -> MonomialPoly:
-    """Evaluate a q-free symmetric function in nvars variables via
-    p_k -> sum x_i^k.  The result is compared on its dominant coefficients
-    and expanded to all monomials when read."""
+def expand(f: SymFunc, nvars: int) -> SymmetricPoly:
+    """Evaluate a q-free symmetric function in nvars >= deg f variables via
+    p_k -> sum x_i^k."""
     fp = f.to_powersum()
     _check_room(nvars, fp.degree)
-    return _symmetric(nvars, fp.degree, *_dominant(fp, _power_product))
+    return SymmetricPoly(nvars, fp.degree, *_dominant(fp, _power_product))
 
 
-def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
+def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> SymmetricPoly:
     """Plethysm by brute substitution: the monomials of g become the alphabet of f.
 
     g must expand with non-negative integer coefficients.  The result lives
     in nvars >= deg(f) * deg(g) variables, so it can be compared directly
-    against expand(f.pleth(g), nvars); the two compare on their dominant
-    coefficients, and each is expanded to all monomials only when read.
+    against expand(f.pleth(g), nvars).
     """
     dg, deg = g.degree, f.degree * g.degree
     _check_room(nvars, max(dg, deg))
@@ -355,7 +183,7 @@ def oracle_plethysm(f: SymFunc, g: SymFunc, nvars: int) -> MonomialPoly:
     if d != 1 or any(v < 0 for v in gm.values()):
         raise ValueError("the inner operand must be monomial-positive")
     product = _products(dg, tuple(sorted(gm.items())))
-    return _symmetric(nvars, deg, *_dominant(f.to_powersum(), product))
+    return SymmetricPoly(nvars, deg, *_dominant(f.to_powersum(), product))
 
 
 @cache
