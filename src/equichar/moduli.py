@@ -8,8 +8,7 @@ E(n, k, l) of S_k x S_(n-k) with polynomial q-grading.  Walking l
 between its extremes connects every E(n, k, l) to one of its bases:
 
 * the point, n = 3: h_k (x) h_(3-k);
-* the GIT quotient at the stable end for k = 0 (an exact division of a
-  product generating polynomial by q^3 - q);
+* the GIT quotient at the stable end for k = 0;
 * the full moduli space itself at l <= 2, restricted from the k = 0
   character to S_k x S_(n-k).  This also gives k = n, where every point is
   heavy: the restriction to S_n x S_0 only swaps the legs.
@@ -21,33 +20,22 @@ Each blow-up step along the way adds correction terms assembled from a
 smaller space, a Kronecker projection of the exceptional-fiber character,
 and a plethysm with the character of the blown-up stratum.
 
-The fixed inputs of the recursion are built in closed form, from integers
-and the centralizer orders z_mu alone, with no change of basis: the
-one-row Schur functions h_m = sum p_mu / z_mu (`symfunc.complete`), the GIT
-bases one integer numerator per power sum, divided by q^3 - q by integer
-synthetic division, and the fiber character.  The Kronecker projections
-and plethysms of a blow-up step depend only on (m, l) and are built once
-per process (`_blowup_kernel`).
+The fixed inputs of the recursion are built in closed form from integers:
+h_m = sum p_mu / z_mu (`symfunc.complete`) and the fiber character in power
+sums, and the GIT bases in Schur form, one integer numerator per two-row
+shape s_(n-j,j) divided by q^3 - q, converted to power sums once, on first
+use.  The Kronecker projections and plethysms of a blow-up step depend only
+on (m, l) and are built once per process (`_blowup_kernel`).
 
 A level step, the operand plus or minus sum_m sum_nu sub.deriv_x(nu) *
-glued, is summed on integers by `symfunc.pack_terms`, the one packer, which
-takes the corrections unevaluated (`_correction`).  Every operand and
-kernel coefficient is packed once at q = 2^bits over one common
-denominator, so each product is one integer multiplication and each sum
-one integer addition.  The bits come from a bound fixed before packing, so
-the packed sum goes straight into the Schur conversion
-(`symfunc.convert_packed`).  It is decoded twice: from that conversion to
-Schur form for the checks, and as it stands to power sums for the next
-steps.
+glued, is summed on packed integers by `symfunc.pack_terms`, with the
+corrections unevaluated (`_correction`), and goes straight into the Schur
+conversion (`symfunc.convert_packed`).  It is decoded twice: from that
+conversion to Schur form for the checks, and as it stands to power sums
+for the next steps.
 
-Every stored key is checked (`_check_character`): all its Schur
-coefficients are effective palindromes of degree n-3 (Poincare duality) that
-do not decrease up to the middle degree (hard Lefschetz), and its q^0 and
-q^(n-3) coefficients are each exactly the trivial character
-s_(k) (x) s_(n-k).  The keys with an independent count of their Betti
-numbers, the full space at l <= 2 (Keel's recursion) and the Losev-Manin
-key (n, 2, n-2) (the Eulerian numbers), must also match it.  A cache file
-that fails the check raises CacheError.
+Every key, computed or loaded, is checked in Schur form
+(`_check_character`); a cache file that fails the check raises CacheError.
 """
 
 import json
@@ -58,7 +46,7 @@ from functools import cache
 from operator import index
 from pathlib import Path
 
-from .partitions import centralizer_order, partitions_of, split_factor, union
+from .partitions import partitions_of, split_factor, union
 from .qpoly import ExactDivisionError, QPoly
 from .oracles import eulerian_numbers, keel_betti
 from .symfunc import (
@@ -98,26 +86,18 @@ def base_level(n: int, k: int) -> int:
     return n - k
 
 
-def _subset_sums(mu) -> list[int]:
-    """Coefficients of prod_j (1 + t^(mu_j)): entry a counts the ways to pick
-    parts of mu, told apart, that add up to a."""
-    sums = [1] + [0] * sum(mu)
-    top = 0
-    for part in mu:
-        top += part
-        for a in range(top, part - 1, -1):
-            sums[a] += sums[a - part]
-    return sums
-
-
-def _git_numerator(n: int, sums: list[int]) -> dict[int, int]:
-    """z_mu times the p_mu coefficient of `git_polynomial(n)`, from the
-    subset sums of mu."""
-    out: dict[int, int] = {}
-    for a in range(n // 2 + 1):
-        out[n - a] = out.get(n - a, 0) + sums[a]
-        out[a + 1] = out.get(a + 1, 0) - sums[a]
-    return out
+def _git_numerators(n: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """{(n-j, j): {e: [q^e] c_j for e = 0..n}} for j = 0..n//2, new dicts:
+    c_j = sum over a = j..n//2 of (q^(n-a) - q^(a+1)) is the coefficient of
+    s_(n-j,j) in `git_polynomial(n)`, since h_a h_(n-a) = sum over j <= a of
+    s_(n-j,j) for a <= n/2 (Pieri)."""
+    h = n // 2
+    return {
+        (n - j, j) if j else (n,): {
+            e: (n - h <= e <= n - j) - (j < e <= h + 1) for e in range(n + 1)
+        }
+        for j in range(h + 1)
+    }
 
 
 def _divide_q3_minus_q(numerator: dict[int, int]) -> dict[int, int]:
@@ -125,9 +105,7 @@ def _divide_q3_minus_q(numerator: dict[int, int]) -> dict[int, int]:
     division (q^e = q^(e-3) (q^3 - q) + q^(e-2)); a remainder raises
     ExactDivisionError.  The divisor is monic, so the quotient of an integer
     polynomial has integer coefficients whenever it is exact."""
-    coeffs = [0] * (max(numerator, default=0) + 1)
-    for e, v in numerator.items():
-        coeffs[e] += v
+    coeffs = [numerator.get(e, 0) for e in range(max(numerator, default=0) + 1)]
     quotient = {}
     for e in range(len(coeffs) - 1, 2, -1):
         if coeffs[e]:
@@ -138,29 +116,12 @@ def _divide_q3_minus_q(numerator: dict[int, int]) -> dict[int, int]:
     return quotient
 
 
-def _closed_form(n: int, numerator, denominator: int = 1) -> SymFunc:
-    """The power-sum function with p_mu coefficient
-    numerator(mu, _subset_sums(mu)) / (denominator z_mu) for each mu of n."""
-    terms = {}
-    for mu in partitions_of(n):
-        coeff = QPoly.from_numerators(
-            numerator(mu, _subset_sums(mu)), denominator * centralizer_order(mu)
-        )
-        if coeff:
-            terms[mu] = coeff
-    return SymFunc(POWERSUM, n, terms)
-
-
 def git_polynomial(n: int) -> SymFunc:
-    """Generating numerator of the GIT base: sum of s_(n-i) s_(i) (q^(n-i) - q^(i+1)).
-
-    Built per power sum from sum_a t^a h_a h_(n-a) = sum_mu (p_mu / z_mu)
-    prod_j (1 + t^(mu_j)) (Macdonald I.2): h_(n-i) h_i contributes
-    [t^i] prod_j (1 + t^(mu_j)) / z_mu to the coefficient of p_mu.
-    """
+    """Generating numerator of the GIT base, in Schur form:
+    sum of s_(n-i) s_(i) (q^(n-i) - q^(i+1)) = sum_j c_j s_(n-j,j)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _closed_form(n, lambda mu, sums: _git_numerator(n, sums))
+    return SymFunc(SCHUR, n, {lam: QPoly(c) for lam, c in _git_numerators(n).items()})
 
 
 def blowup_fiber_character(m: int, l: int) -> SymFunc:
@@ -188,17 +149,16 @@ def blowup_fiber_character(m: int, l: int) -> SymFunc:
 
 
 def git_base_odd(n: int) -> BiSymFunc:
-    """Stable-end character for odd n with no heavy points: `git_polynomial(n)`
-    divided by q^3 - q, one integer numerator per power sum."""
+    """Stable-end character for odd n with no heavy points, in Schur form:
+    `git_polynomial(n)` divided by q^3 - q, c_j / (q^3 - q) on s_(n-j,j)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("need odd n >= 3")
-    return BiSymFunc.embed_y(
-        _closed_form(n, lambda mu, sums: _divide_q3_minus_q(_git_numerator(n, sums)))
-    )
+    terms = _git_numerators(n).items()
+    return BiSymFunc(SCHUR, 0, n, {((), lam): QPoly(_divide_q3_minus_q(c)) for lam, c in terms})
 
 
 def git_base_even(n: int) -> BiSymFunc:
-    """Stable-end character for even n with no heavy points.
+    """Stable-end character for even n with no heavy points, in Schur form.
 
     The GIT quotient is singular at strictly semistable points, so the
     numerator is repaired by middle-weight terms before the exact division,
@@ -207,32 +167,24 @@ def git_base_even(n: int) -> BiSymFunc:
         [P - h_m^2 q^m + (s_(2) o h_m) q + (s_(1,1) o h_m) q^2] / (q^3 - q)
           + s_(2) o (h_m g)        with m = n/2, g = 1 + q + ... + q^(m-2).
 
-    Each p_mu coefficient is built over 2 z_mu from closed forms:
-    s_(2) o h_m = (h_m^2 + p_2 o h_m)/2 and s_(1,1) o h_m = (h_m^2 - p_2 o h_m)/2;
-    z_mu [p_mu] h_m^2 is the subset sum of mu at m; z_mu [p_mu] p_2 o h_m is
-    2^len(mu) if every part of mu is even and 0 otherwise; and
-    s_(2) o (h_m g) = (h_m^2 g(q)^2 + (p_2 o h_m) g(q^2))/2.
+    h_m^2 is the sum of all s_(n-j,j) (Pieri), s_(2) o h_m of those with j
+    even and s_(1,1) o h_m of those with j odd.  So s_(n-j,j) carries
+    [c_j - q^m + q^(1 + j mod 2)] / (q^3 - q) plus, from s_(2) o (h_m g), the
+    count at q^e of the pairs a <= b (j even) or a < b (j odd) in 0..m-2
+    with a + b = e.
     """
     if n < 4 or n % 2:
         raise ValueError("need even n >= 4")
-    m = n // 2
-    g_squared = {e: min(e, 2 * m - 4 - e) + 1 for e in range(2 * m - 3)}
-
-    def numerator(mu, sums):
-        square = sums[m]  # z_mu [p_mu] h_m^2
-        p2 = 2 ** len(mu) if all(a % 2 == 0 for a in mu) else 0  # z_mu [p_mu] p_2 o h_m
-        head = {e: 2 * v for e, v in _git_numerator(n, sums).items()}
-        head[m] = head.get(m, 0) - 2 * square
-        head[1] = head.get(1, 0) + square + p2
-        head[2] = head.get(2, 0) + square - p2
-        out = _divide_q3_minus_q(head)
-        for e, v in g_squared.items():
-            out[e] = out.get(e, 0) + square * v
-        for i in range(m - 1):
-            out[2 * i] = out.get(2 * i, 0) + p2
-        return out
-
-    return BiSymFunc.embed_y(_closed_form(n, numerator, 2))
+    m, terms = n // 2, {}
+    for lam, numerator in _git_numerators(n).items():
+        odd = (n - lam[0]) % 2  # j mod 2
+        numerator[m] -= 1
+        numerator[1 + odd] += 1
+        out = _divide_q3_minus_q(numerator)
+        for e in range(2 * m - 3):  # the pairs a <= b (j even) or a < b (j odd) with a + b = e
+            out[e] = out.get(e, 0) + (min(e, 2 * m - 4 - e) + 2 - odd) // 2
+        terms[(), lam] = QPoly(out)
+    return BiSymFunc(SCHUR, 0, n, terms)
 
 
 @cache
@@ -328,12 +280,11 @@ class CharacterCalculator:
 
     `_schur` holds every key served so far in presentation (Schur) form;
     `_powersum` holds the working (power-sum) form of the keys the recursion
-    has used as operands.  A computed key enters both at once.  A key loaded
-    from the cache directory enters `_schur` only and is converted to power
-    sums the first time the recursion needs it, so serving cached keys does
-    no change of basis.  With a cache directory every computed key is also
-    written to one JSON file, so a later process renders byte-identical
-    output.
+    has used as operands.  A key computed in power sums enters both at once;
+    a GIT base, written in Schur form, and a key loaded from the cache enter
+    `_schur` only and are converted on first use as an operand.  With a
+    cache directory every computed key is also written to one JSON file, so
+    a later process renders byte-identical output.
     """
 
     def __init__(self, cache_dir=None):
@@ -384,14 +335,13 @@ class CharacterCalculator:
     def _operand(self, key) -> BiSymFunc:
         """The power-sum form of E(key), converted from Schur form on first use."""
         value = self._compute(key)
-        working = self._powersum.get(key)
-        if working is None:
-            working = value.to_powersum()
-            self._powersum[key] = working
-        return working
+        if key not in self._powersum:
+            self._powersum[key] = value.to_powersum()
+        return self._powersum[key]
 
     def _evaluate(self, key):
-        """E(key) in power sums: a BiSymFunc, or the `Packed` sum of a level step."""
+        """E(key): a BiSymFunc, in Schur form for a GIT base and in power sums
+        otherwise, or the `Packed` sum of a level step."""
         n, k, l = key
         if n == 3:
             return BiSymFunc.tensor(complete(k), complete(3 - k))
@@ -466,11 +416,10 @@ class CharacterCalculator:
     # -- persistence ---------------------------------------------------------
 
     def _store(self, key, value) -> BiSymFunc:
-        """Check the computed E(key) (`_check_character`), keep it in both
-        forms and write it to the cache; return its Schur form.  `value` is
-        a BiSymFunc in power sums or the `Packed` sum of a level step, which
-        is decoded twice, once from its Schur conversion and once as it
-        stands, to power sums."""
+        """Check the computed E(key) (`_check_character`), keep it in the
+        forms at hand and write it to the cache; return its Schur form.
+        `value` is a BiSymFunc in either basis or the `Packed` sum of a level
+        step, decoded from its Schur conversion and, as it stands, to power sums."""
         n, k, _ = key
         if isinstance(value, Packed):
             in_schur = BiSymFunc._raw(SCHUR, k, n - k, convert_packed(value))
@@ -479,7 +428,8 @@ class CharacterCalculator:
             in_schur = value.to_schur()
         _check_character(key, in_schur)
         self._schur[key] = in_schur
-        self._powersum[key] = value
+        if value.basis == POWERSUM:
+            self._powersum[key] = value
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             path = self._path(key)
@@ -511,7 +461,7 @@ class CharacterCalculator:
             payload = json.loads(path.read_text())
         except FileNotFoundError:
             return None  # a miss, also when `cache --clear` removed the file just now
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
             raise CacheError(f"unreadable cache file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise CacheError(f"cache file {path} does not hold a JSON object")

@@ -14,6 +14,7 @@ The public readers (`coeff`, `items`, `evaluate`, JSON) give reduced
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import index
 
@@ -28,6 +29,19 @@ def rat_str(x: Fraction) -> str:
 
 def parse_rat(s: str) -> Fraction:
     return Fraction(s)
+
+
+@lru_cache(maxsize=1024)
+def _exponent(key) -> int:
+    """The q-exponent a JSON key names, written as `to_json_dict` writes it:
+    ASCII digits with no sign and no leading zero.  `int` alone would also
+    read "01", " 1", "+1", "1_0" and non-ASCII digits, so two keys could name
+    one power of q.  Memoized: a file repeats a few small exponents."""
+    if not (
+        isinstance(key, str) and key.isascii() and key.isdigit() and (key[0] != "0" or key == "0")
+    ):
+        raise ValueError(f"q-exponent {key!r} is not a decimal without sign or leading zero")
+    return int(key)
 
 
 def _make(c: dict, d: int) -> "QPoly":
@@ -271,26 +285,23 @@ class QPoly:
 
     @classmethod
     def from_json_dict(cls, data) -> "QPoly":
-        """Parse `to_json_dict` output.  Integer strings (`-?[0-9]+`), the
+        """Parse `to_json_dict` output.  Each exponent is read by `_exponent`,
+        so each power of q has one key.  Integer strings (`-?[0-9]+`), the
         only kind a character's Schur coefficients take, are read with `int`;
         a polynomial with any other value goes through `parse_rat`, so both
         accept the same input."""
         c = {}
         for k, v in data.items():
+            e = _exponent(k)
             if not (
                 isinstance(v, str)
                 and v.isascii()
                 and (v.isdigit() or v[:1] == "-" and v[1:].isdigit())
             ):
-                return cls({int(k): parse_rat(v) for k, v in data.items()})
-            k = int(k)
-            if k < 0:
-                raise ValueError("negative q-exponents are not supported")
+                return cls({_exponent(k): parse_rat(v) for k, v in data.items()})
             v = int(v)
             if v:
-                c[k] = v
-            else:
-                c.pop(k, None)  # as the `parse_rat` path reads {"0": "1", "00": "0"}
+                c[e] = v
         return _make(c, 1)
 
     def __str__(self) -> str:

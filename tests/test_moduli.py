@@ -169,8 +169,19 @@ def test_git_polynomial_matches_definition(n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_git_base_matches_definition(n):
     base = git_base_odd(n) if n % 2 else git_base_even(n)
-    assert base.basis == POWERSUM
+    assert base.basis == SCHUR
     assert base == _reference_git_base(n)
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_git_base_is_a_checked_two_row_sum(n):
+    """Each GIT base is a sum of at most n//2 + 1 two-row shapes s_(n-j,j)
+    and passes the character check as written, far past the reach of a
+    power-sum form (p(40) = 37338)."""
+    base = git_base_odd(n) if n % 2 else git_base_even(n)
+    assert len(base.terms) <= n // 2 + 1
+    assert all(lx == () and len(ly) <= 2 for lx, ly in base.terms)
+    moduli._check_character((n, 0, base_level(n, 0)), base)
 
 
 @pytest.mark.parametrize("m", range(13))
@@ -195,14 +206,14 @@ def test_divide_q3_minus_q():
 
 @pytest.mark.parametrize("build", [git_base_odd, git_base_even])
 def test_git_base_remainder_is_fatal(build, monkeypatch):
-    real = moduli._git_numerator
+    real = moduli._git_numerators
 
-    def off_by_one(n, sums):
-        out = real(n, sums)
-        out[0] = out.get(0, 0) + 1
+    def off_by_one(n):
+        out = real(n)
+        out[(n,)][0] += 1
         return out
 
-    monkeypatch.setattr(moduli, "_git_numerator", off_by_one)
+    monkeypatch.setattr(moduli, "_git_numerators", off_by_one)
     with pytest.raises(ExactDivisionError):
         build(7 if build is git_base_odd else 8)
 
@@ -289,6 +300,23 @@ def test_full_characters_13_to_16_are_frozen():
     for n, digest in FULL_CHARACTER_SHA256.items():
         text = json.dumps(calc.character(n).to_json_dict(), separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+# sha256 of the cache lines of every chamber E(n, k, l), n = 3..11,
+# k = 0..n, l = 1..base_level(n, k), in that loop order (244 keys).
+CHAMBERS_SHA256 = "bf2bdabc1c2dc6259cea2a67d0663db968194f73c6cba536477e5e43e24e41f1"
+
+
+def test_chambers_3_to_11_are_frozen():
+    calc, digest, count = CharacterCalculator(), hashlib.sha256(), 0
+    for n in range(3, 12):
+        for k in range(n + 1):
+            for l in range(1, base_level(n, k) + 1):
+                line = moduli.character_json((n, k, l), calc.character(n, k, l)) + "\n"
+                digest.update(line.encode())
+                count += 1
+    assert count == 244
+    assert digest.hexdigest() == CHAMBERS_SHA256
 
 
 def test_normalized_key():
@@ -466,6 +494,10 @@ def _with_repeat(payload, coeff):
         pytest.param(lambda payload: 5, id="number"),
         pytest.param(lambda payload: _with_coeff(payload, ["0", "1"]), id="coeff-list"),
         pytest.param(lambda payload: _with_coeff(payload, "1"), id="coeff-string"),
+        pytest.param(
+            lambda payload: _with_coeff(payload, {"0": "1", "01": "1", "2": "1"}),
+            id="coeff-exponent-leading-zero",
+        ),
         pytest.param(lambda payload: _with(payload, basis="monomial"), id="unknown-basis"),
         pytest.param(lambda payload: _with_term(payload, 0, y=[4, 2]), id="term-size"),
         pytest.param(lambda payload: _with_term(payload, 0, y=[1, 4]), id="increasing-parts"),
@@ -480,7 +512,8 @@ def test_cache_rejects_malformed_json(tmp_path, capsys, edit):
     """Valid JSON of the wrong shape is a CacheError, and `compute` exits 3:
     a file that is not an object, a coefficient that is not one, an unknown
     basis, a term that is no pair of partitions of the bidegree or that
-    appears twice, and a bidegree that is not two ints."""
+    appears twice, an exponent key other than the one `to_json_dict`
+    writes, and a bidegree that is not two ints."""
     CharacterCalculator(cache_dir=tmp_path).character(5)
     path = tmp_path / "E_5_0_2.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -488,6 +521,26 @@ def test_cache_rejects_malformed_json(tmp_path, capsys, edit):
         CharacterCalculator(cache_dir=tmp_path).character(5)
     assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
     assert "cache error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [pytest.param(b"\xff\xfe{}", id="not-utf8"), pytest.param(b"[" * 200000, id="nested-too-deep")],
+)
+def test_cache_rejects_undecodable_file(tmp_path, capsys, content):
+    """A file that is not UTF-8, or whose JSON nests too deep to decode, is
+    a CacheError naming the file, and `compute` exits 3 with one line on
+    stderr, not as a usage error or with a traceback."""
+    CharacterCalculator(cache_dir=tmp_path).character(5)
+    path = tmp_path / "E_5_0_2.json"
+    path.write_bytes(content)
+    with pytest.raises(CacheError, match="unreadable cache file .*E_5_0_2.json"):
+        CharacterCalculator(cache_dir=tmp_path).character(5)
+    assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("equichar: cache error: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("edge", ["0", "2"])

@@ -215,6 +215,17 @@ def test_json_rejects_negative_exponents():
             QPoly.from_json_dict({"0": "1", "-1": value})
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", " 1", "1 ", "+2", "\u0661", "\u00b2", "00", ""])
+def test_json_reads_only_canonical_exponents(key):
+    """An exponent key is read only as `to_json_dict` writes it: ASCII
+    digits, no sign, no leading zero.  `int` would read "01" as q^1 next to
+    a key "1", "1_0" as q^10, and " 1", "+2" and non-ASCII digits as well."""
+    for value in ("2", "1/2"):
+        with pytest.raises(ValueError, match="q-exponent"):
+            QPoly.from_json_dict({"1": "1", key: value})
+    assert QPoly.from_json_dict({"0": "1", "10": "2"}) == QPoly({0: 1, 10: 2})
+
+
 def test_str():
     assert str(QPoly()) == "0"
     assert str(QPoly({3: 1, 1: -2, 0: 1})) == "q^3-2q+1"

@@ -85,14 +85,14 @@ def test_cli_compute_json_is_the_cache_file(tmp_path, capsys, key):
 def test_cli_failed_check_exits_2(monkeypatch, capsys):
     """A computed character that fails its check is a verification failure:
     exit code 2 with one line on stderr, not a traceback."""
-    real = moduli._git_numerator
+    real = moduli._git_numerators
 
-    def off_by_one(n, sums):
-        out = real(n, sums)
-        out[0] = out.get(0, 0) + 1
+    def off_by_one(n):
+        out = real(n)
+        out[(n,)][0] += 1
         return out
 
-    monkeypatch.setattr(moduli, "_git_numerator", off_by_one)
+    monkeypatch.setattr(moduli, "_git_numerators", off_by_one)
     assert main(["compute", "--n", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -139,14 +139,14 @@ def test_verify_oracles_does_not_file_a_raised_check_as_a_comparison(monkeypatch
 def test_cli_verify_reports_a_failed_recursion(monkeypatch, capsys):
     """With the GIT base off by one, paper-examples and length-theorem fail
     the keys they reach and still print their reports."""
-    real = moduli._git_numerator
+    real = moduli._git_numerators
 
-    def off_by_one(n, sums):
-        out = real(n, sums)
-        out[0] = out.get(0, 0) + 1
+    def off_by_one(n):
+        out = real(n)
+        out[(n,)][0] += 1
         return out
 
-    monkeypatch.setattr(moduli, "_git_numerator", off_by_one)
+    monkeypatch.setattr(moduli, "_git_numerators", off_by_one)
     assert main(["verify", "--suite", "paper-examples"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert (payload["passed"], payload["failed"]) == (0, len(verify.KNOWN_CHARACTERS))
