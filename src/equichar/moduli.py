@@ -36,6 +36,14 @@ for the next steps.
 
 Every key, computed or loaded, is checked in Schur form
 (`_check_character`); a cache file that fails the check raises CacheError.
+
+A calculator keeps the Schur form of every key it served.  It keeps a
+power-sum form only while the current request still consumes it
+(`consumed_keys` is the one dependency rule; a dry walk counts each form's
+consumers before the first evaluation), plus the full-space forms
+E(n, 0, 1), which every restriction of a later request reads, and each
+request's result until a later request consumes it.  A missing form is
+converted from Schur form, so the counts move memory, never a result.
 """
 
 import json
@@ -84,6 +92,31 @@ def base_level(n: int, k: int) -> int:
     if k == 1:
         return n - 2
     return n - k
+
+
+def _normalized(n: int, k: int, l: int) -> tuple[int, int, int]:
+    """The key E(n, k, l) is kept under: l >= 1 clamped into [2, base_level];
+    levels 1 and 2 carry the same space."""
+    return (n, k, min(max(l, 2), base_level(n, k)))
+
+
+def consumed_keys(key) -> list[tuple[int, int, int]]:
+    """The normalized keys whose power-sum forms the evaluation of the
+    normalized E(key) consumes, in the order it reads them: none for a base
+    (the point, a GIT base); E(n, 0, 1) for a restriction (k >= 1, l <= 2);
+    for a level step, the operand (the same space at the level it steps
+    from), then the sub key (n - l*m, k + m, l + 1) of each correction
+    m = 1.. of the step's level l."""
+    n, k, l = key
+    if n == 3 or (k == 0 and l >= base_level(n, 0)):
+        return []
+    if k and l <= 2:  # also k = n, whose only level is 1
+        return [_normalized(n, 0, 1)]
+    source, level = (l + 1, l) if k == 0 else (l - 1, l - 1)
+    subs = range(1, (n - k) // (level + 1) + 1)
+    return [_normalized(n, k, source)] + [
+        _normalized(n - level * m, k + m, level + 1) for m in subs
+    ]
 
 
 def _git_numerators(n: int) -> dict[tuple[int, ...], dict[int, int]]:
@@ -278,18 +311,25 @@ def cache_files(directory: Path) -> tuple[list[Path], list[Path]]:
 class CharacterCalculator:
     """Memoized evaluator of the characters E(n, k, l).
 
-    `_schur` holds every key served so far in presentation (Schur) form;
-    `_powersum` holds the working (power-sum) form of the keys the recursion
-    has used as operands.  A key computed in power sums enters both at once;
-    a GIT base, written in Schur form, and a key loaded from the cache enter
-    `_schur` only and are converted on first use as an operand.  With a
-    cache directory every computed key is also written to one JSON file, so
-    a later process renders byte-identical output.
+    `_schur` holds every key served so far in presentation (Schur) form, for
+    the life of the calculator.  `_powersum` holds a working (power-sum)
+    form only while the current request still consumes it, except the
+    full-space forms E(n, 0, 1), which every restriction (n, k, 2) of a
+    later request reads, and the result of a request, until a later request
+    has consumed it.  A request that must evaluate counts first, by a dry
+    walk over `consumed_keys`, how many of its evaluations consume each form
+    (`_count_uses`); a form leaves `_powersum` after its last consumer
+    (`_release`).  A form that is missing when needed, such as that of a
+    GIT base, a loaded key or a key an earlier request computed, is
+    converted from its Schur form (`_operand`), so no result depends on the
+    counts.  With a cache directory every computed key is also written to
+    one JSON file, so a later process renders byte-identical output.
     """
 
     def __init__(self, cache_dir=None):
         self._powersum: dict[tuple[int, int, int], BiSymFunc] = {}
         self._schur: dict[tuple[int, int, int], BiSymFunc] = {}
+        self._uses: dict[tuple[int, int, int], int] | None = None  # during a request
         self.cache_dir = Path(cache_dir) if cache_dir else None
 
     # -- public surface ---------------------------------------------------
@@ -300,7 +340,7 @@ class CharacterCalculator:
         n, k, l = index(n), index(k), index(l)
         if l < 1:
             raise ValueError("need l >= 1")
-        return (n, k, min(max(l, 2), base_level(n, k)))
+        return _normalized(n, k, l)
 
     def character(self, n: int, k: int = 0, l: int = 1) -> BiSymFunc:
         """The bigraded character E(n, k, l), in the Schur basis."""
@@ -318,22 +358,60 @@ class CharacterCalculator:
             raise ValueError(f"m must lie in [1, {(n - k) // (l + 1)}]")
         if n - l * m < 3:
             raise ValueError("the blown-up stratum has no underlying moduli space")
-        packed = pack_terms({}, SCHUR, (k, n - k), [self._correction(n, k, m, l)])
+        sub = self.character(n - l * m, k + m, l + 1).to_powersum()
+        packed = pack_terms({}, SCHUR, (k, n - k), [self._correction(sub, m, l)])
         return BiSymFunc._raw(SCHUR, k, n - k, convert_packed(packed))
 
     # -- the recursion -----------------------------------------------------
 
     def _compute(self, key) -> BiSymFunc:
-        """The Schur form of E(key): from memory, else from disk, else evaluated."""
+        """The Schur form of E(key): from memory, else from disk, else
+        evaluated.  The first key of a request that must be evaluated counts
+        the request's uses first (`_count_uses`)."""
         value = self._schur.get(key)
         if value is None:
             value = self._load(key)
         if value is None:
-            value = self._store(key, self._evaluate(key))
+            if self._uses is not None:
+                return self._store(key, self._evaluate(key))
+            self._uses = self._count_uses(key)
+            try:
+                value = self._store(key, self._evaluate(key))
+            finally:
+                self._uses = None
         return value
 
+    def _count_uses(self, key) -> dict[tuple[int, int, int], int]:
+        """How many evaluations of the request for E(key) consume each
+        power-sum form: a dry walk from `key` through `consumed_keys` that
+        stops at the keys in `_schur`.  A key on disk is walked as if it were
+        evaluated, so a partial cache can keep a form longer, never drop it
+        early."""
+        uses: dict[tuple[int, int, int], int] = {}
+        todo, walked = [key], {key}
+        while todo:
+            for used in consumed_keys(todo.pop()):
+                uses[used] = uses.get(used, 0) + 1
+                if used not in walked and used not in self._schur:
+                    walked.add(used)
+                    todo.append(used)
+        return uses
+
+    def _release(self, keys) -> None:
+        """Count one consumption of each form of `keys`, and drop each form
+        whose last consumer in the current request has run, except the
+        full-space forms E(n, 0, 1) (k = 0, normalized l <= 2).  Outside a
+        request nothing is counted."""
+        uses = self._uses
+        if uses is None:
+            return
+        for key in keys:
+            uses[key] = left = uses.get(key, 0) - 1
+            if left <= 0 and not (key[1] == 0 and key[2] <= 2):
+                self._powersum.pop(key, None)
+
     def _operand(self, key) -> BiSymFunc:
-        """The power-sum form of E(key), converted from Schur form on first use."""
+        """The power-sum form of E(key), converted from Schur form if missing."""
         value = self._compute(key)
         if key not in self._powersum:
             self._powersum[key] = value.to_powersum()
@@ -341,41 +419,36 @@ class CharacterCalculator:
 
     def _evaluate(self, key):
         """E(key): a BiSymFunc, in Schur form for a GIT base and in power sums
-        otherwise, or the `Packed` sum of a level step."""
+        otherwise, or the `Packed` sum of a level step: the operand plus
+        `sign` times every correction of `level`.  The forms it consumes
+        (`consumed_keys`) are released before it returns."""
         n, k, l = key
+        consumed = consumed_keys(key)
+        operands = [self._operand(used) for used in consumed]
         if n == 3:
-            return BiSymFunc.tensor(complete(k), complete(3 - k))
-        if k == 0:
-            if l >= base_level(n, 0):
-                return git_base_odd(n) if n % 2 else git_base_even(n)
-            return self._level_step(key, l + 1, l, 1)
-        if l <= 2:  # also k = n, whose only level is 1
-            full = self._operand(self.normalized_key(n, 0, 1))
-            return restrict_full(full.y_symfunc(), k)
-        return self._level_step(key, l - 1, l - 1, -1)
+            value = BiSymFunc.tensor(complete(k), complete(3 - k))
+        elif not operands:  # the stable end for k = 0
+            value = git_base_odd(n) if n % 2 else git_base_even(n)
+        elif k and l <= 2:
+            value = restrict_full(operands[0].y_symfunc(), k)
+        else:
+            level, sign = (l, 1) if k == 0 else (l - 1, -1)
+            operand, *subs = operands
+            corrections = [self._correction(sub, m, level) for m, sub in enumerate(subs, 1)]
+            value = pack_terms(operand.terms, SCHUR, (k, n - k), corrections, sign)
+        self._release(consumed)
+        return value
 
-    def _level_step(self, key, source: int, level: int, sign: int) -> Packed:
-        """E(key) from the same space at weight level `source`: that
-        character plus `sign` times every correction of `level`, summed
-        packed (`pack_terms`)."""
-        n, k, _ = key
-        operand = self._operand(self.normalized_key(n, k, source))
-        corrections = [
-            self._correction(n, k, m, level) for m in range(1, (n - k) // (level + 1) + 1)
-        ]
-        return pack_terms(operand.terms, SCHUR, (k, n - k), corrections, sign)
-
-    def _correction(self, n: int, k: int, m: int, l: int):
+    def _correction(self, sub: BiSymFunc, m: int, l: int):
         """Correction added when the weight crosses 1/(l+1): strata of m light
-        points colliding, glued along a smaller space with one extra heavy point.
+        points colliding, glued along a smaller space with one extra heavy
+        point, whose power-sum form E(n - l*m, k + m, l + 1) is `sub`.
 
         It is the sum of sub.deriv_x(nu) * glued over the entries of
         `_blowup_kernel(m, l)`, returned unevaluated as the addend
         (denominator, norm, add) that `pack_terms` sums; each product is
         one integer multiplication.
         """
-        assert n - l * m >= 3
-        sub = self._operand(self.normalized_key(n - l * m, k + m, l + 1))
         glue_scale, kernel = _blowup_kernel(m, l)
         sub_scale = common_denominator(sub.terms.values())
         by_x: dict[tuple, list] = {}  # x-partition: [sub terms, their packed norm]
@@ -458,7 +531,8 @@ class CharacterCalculator:
         n, k, _ = key
         path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
+            text = path.read_text()
+            payload = json.loads(text)
         except FileNotFoundError:
             return None  # a miss, also when `cache --clear` removed the file just now
         except (OSError, ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
@@ -480,9 +554,27 @@ class CharacterCalculator:
             )
         try:
             value = BiSymFunc.from_json_dict(payload)
+            # json.loads keeps the last of repeated keys.  In a file that
+            # `character_json` writes every ':' ends a key: the 7 fields, 3
+            # per term and one per exponent, so a repeated or unknown key
+            # (or a ':' in a string) leaves more ':' than these.
+            pairs = 7 + sum(3 + len(t["coeff"]) for t in payload["terms"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"malformed cache file {path}: {exc}") from exc
-        value = value.to_schur()
+        if text.count(":") != pairs:
+            raise CacheError(
+                f"malformed cache file {path}: {text.count(':')} ':' where its fields, "
+                f"terms and exponents make {pairs} keys; a key is repeated or unknown"
+            )
+        if value.basis == POWERSUM:
+            # A change of basis keeps every q-degree, and its cost grows with
+            # the largest one: a q^e above q^(n-3) is rejected unconverted.
+            top = max((c.degree for c in value.terms.values()), default=-1)
+            if top > n - 3:
+                raise CacheError(
+                    f"cache file {path} fails verification: a q^{top} part above q^{n - 3}"
+                )
+            value = value.to_schur()
         try:
             _check_character(key, value)
         except ArithmeticError as exc:

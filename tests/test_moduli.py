@@ -3,6 +3,7 @@ characters, the blow-up corrections, and the disk cache."""
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -573,6 +574,65 @@ def test_cache_rejects_exponent_above_top(tmp_path, capsys):
     assert "q^5" not in capsys.readouterr().out
 
 
+def test_cache_rejects_powersum_exponent_above_top_unconverted(tmp_path, capsys, monkeypatch):
+    """A power-sum file is rejected for a q-exponent above n-3 before its
+    change of basis, whose cost grows with that exponent: a q^100000 part
+    exits 3 at once, with no conversion."""
+    payload = {"v": 1, "n": 5, "k": 0, "l": 2, "basis": POWERSUM, "bidegree": [0, 5]}
+    payload["terms"] = [
+        {"x": [], "y": [5], "coeff": {"0": "1", "100000": "1"}},
+        {"x": [], "y": [1, 1, 1, 1, 1], "coeff": {"0": "1"}},
+    ]
+    (tmp_path / "E_5_0_2.json").write_text(json.dumps(payload))
+    conversions = []
+    real_change_basis = symfunc.change_basis
+
+    def counting(*args, **kwargs):
+        conversions.append(args[1])
+        return real_change_basis(*args, **kwargs)
+
+    monkeypatch.setattr(symfunc, "change_basis", counting)
+    with pytest.raises(CacheError, match="verification: a q\\^100000 part above q\\^2"):
+        CharacterCalculator(cache_dir=tmp_path).character(5)
+    start = time.perf_counter()
+    assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 1
+    assert "cache error" in capsys.readouterr().err
+    assert conversions == []
+
+
+_E_5_0_2 = (
+    '{"v":1,"n":5,"k":0,"l":2,"basis":"schur","bidegree":[0,5],"terms":'
+    '[{"x":[],"y":[4,1],"coeff":{"1":"1"}},{"x":[],"y":[5],"coeff":{"0":"1","1":"1","2":"1"}}]}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param('"1":"1","2"', '"1":"7","1":"1","2"', id="repeated-exponent"),
+        pytest.param('"basis":"schur"', '"basis":"schur","basis":"schur"', id="repeated-field"),
+        pytest.param('"y":[5],', '"y":[5],"y":[5],', id="repeated-term-field"),
+        pytest.param('"coeff":{"1":"1"}', '"coeff":{"1":"7"},"coeff":{"1":"1"}', id="repeated-coeff"),
+        pytest.param('"l":2,', '"l":2,"note":"",', id="unknown-field"),
+        pytest.param('"y":[5],', '"y":[5],"z":[],', id="unknown-term-field"),
+    ],
+)
+def test_cache_rejects_repeated_key(tmp_path, capsys, old, new):
+    """json.loads keeps the last of repeated keys; a file with a repeated or
+    unknown key at any level is a CacheError and `compute` exits 3, although
+    the value json.loads reads from it is a valid E(5, 0, 2)."""
+    CharacterCalculator(cache_dir=tmp_path).character(5)
+    path = tmp_path / "E_5_0_2.json"
+    assert path.read_text() == _E_5_0_2
+    path.write_text(_E_5_0_2.replace(old, new, 1))
+    with pytest.raises(CacheError, match="malformed.*repeated or unknown"):
+        CharacterCalculator(cache_dir=tmp_path).character(5)
+    assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cache error" in captured.err
+
+
 def test_cache_rejects_broken_duality(tmp_path, capsys):
     """E(6, 0, 2) is the cohomology of a smooth projective 3-fold, so each
     Schur coefficient is a palindrome of degree 3: raising the q^1
@@ -826,6 +886,131 @@ def test_partial_cache_feeds_the_recursion(tmp_path, monkeypatch):
     assert evaluated and all(n == 10 for n, _, _ in evaluated)
     assert any(n < 10 for n, _, _ in warm._powersum)
     assert all(value.basis == POWERSUM for value in warm._powersum.values())
+
+
+def test_evaluations_consume_the_listed_keys(monkeypatch):
+    """For every normalized key with n <= 10, the power-sum forms that
+    `_evaluate` reads through `_operand` are those `consumed_keys` lists, in
+    its order."""
+    evaluating, read = [], {}
+    real_evaluate, real_operand = CharacterCalculator._evaluate, CharacterCalculator._operand
+
+    def recording_evaluate(self, key):
+        evaluating.append(key)
+        read[key] = []
+        try:
+            return real_evaluate(self, key)
+        finally:
+            evaluating.pop()
+
+    def recording_operand(self, key):
+        read[evaluating[-1]].append(key)
+        return real_operand(self, key)
+
+    monkeypatch.setattr(CharacterCalculator, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(CharacterCalculator, "_operand", recording_operand)
+    calc = _fill_cache(None, 10)
+    keys = {
+        calc.normalized_key(n, k, l)
+        for n in range(3, 11)
+        for k in range(n + 1)
+        for l in range(1, base_level(n, k) + 1)
+    }
+    assert set(read) == keys
+    for key in keys:
+        assert read[key] == moduli.consumed_keys(key), key
+    assert sum(map(len, read.values())) > len(keys)
+
+
+def _is_full_space(key):
+    n, k, l = key
+    return k == 0 and key == moduli._normalized(n, 0, 1)
+
+
+def test_cold_request_keeps_only_full_space_forms(monkeypatch):
+    """After a cold E(14, 0, 1) every other working form has met its last
+    consumer and left the memo, and none left it early: the only forms
+    converted from Schur form are the GIT bases'.  The Schur forms all stay."""
+    conversions = []
+    real_to_powersum = BiSymFunc.to_powersum
+
+    def counting(self):
+        conversions.append(self.basis)
+        return real_to_powersum(self)
+
+    monkeypatch.setattr(BiSymFunc, "to_powersum", counting)
+    calc = CharacterCalculator()
+    calc.character(14)
+    assert calc._powersum and all(map(_is_full_space, calc._powersum))
+    assert (14, 0, 2) in calc._powersum and (12, 0, 2) in calc._powersum
+    assert len(calc._schur) > 3 * len(calc._powersum)
+    bases = [(n, k, l) for n, k, l in calc._schur if n > 3 and k == 0 and l == base_level(n, 0)]
+    assert conversions.count(SCHUR) == len(bases) > 0
+    assert calc._uses is None
+
+
+def test_later_requests_keep_only_their_results():
+    """Requests after a cold E(14, 0, 1) read forms an earlier request
+    dropped, rebuilt from Schur form, and drop them again; what stays beyond
+    the full-space forms is each request's result, until a later request
+    consumes it."""
+    calc = CharacterCalculator()
+    calc.character(14)
+    results = []
+    for key in ((14, 3, 6), (14, 1, 8), (14, 2, 9)):
+        calc.character(*key)
+        results.append(key)
+        assert sorted(key for key in calc._powersum if not _is_full_space(key)) == sorted(results)
+    calc.character(14, 2, 10)  # its operand is (14, 2, 9)
+    assert (14, 2, 9) not in calc._powersum and (14, 2, 10) in calc._powersum
+
+
+def test_forms_dropped_after_every_evaluation_are_rebuilt(monkeypatch):
+    """With every use count zero, each form but E(n, 0, 1) leaves the memo
+    after the first evaluation that reads it and is converted again from
+    its Schur form for the next: cold E(n, 0, 1) for n <= 12 and every
+    chamber key with n <= 9 still equal a normal calculator's."""
+    conversions = []
+    real_to_powersum = BiSymFunc.to_powersum
+
+    def counting(self):
+        conversions.append(self.basis)
+        return real_to_powersum(self)
+
+    monkeypatch.setattr(BiSymFunc, "to_powersum", counting)
+    expected_full = {n: CharacterCalculator().character(n) for n in range(3, 13)}
+    expected_chambers = _fill_cache(None, 9)._schur
+    normal = conversions.count(SCHUR)
+    conversions.clear()
+    monkeypatch.setattr(CharacterCalculator, "_count_uses", lambda self, key: {})
+    for n, expected in expected_full.items():
+        assert CharacterCalculator().character(n) == expected, n
+    assert _fill_cache(None, 9)._schur == expected_chambers
+    assert conversions.count(SCHUR) > normal
+
+
+def test_served_requests_run_no_walk(tmp_path, monkeypatch):
+    """The use count walks once per request that must evaluate, and never for
+    a key served from memory or from the cache."""
+    walks = []
+    real_count_uses = CharacterCalculator._count_uses
+
+    def recording(self, key):
+        walks.append(key)
+        return real_count_uses(self, key)
+
+    monkeypatch.setattr(CharacterCalculator, "_count_uses", recording)
+    calc = CharacterCalculator(cache_dir=tmp_path)
+    calc.character(9, 2, 4)
+    assert walks == [(9, 2, 4)]
+    calc.character(9, 2, 4)
+    calc.character(9, 0, 1)
+    calc.character(7, 3, 3)
+    assert walks == [(9, 2, 4)]
+    warm = CharacterCalculator(cache_dir=tmp_path)
+    for path in tmp_path.glob("E_*.json"):
+        warm.character(*(int(a) for a in path.stem.split("_")[1:]))
+    assert walks == [(9, 2, 4)] and warm._powersum == {}
 
 
 @pytest.mark.parametrize("key", [(7, 0, 2.5), (6, 1.0, 2)])
