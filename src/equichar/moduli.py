@@ -38,12 +38,14 @@ Every key, computed or loaded, is checked in Schur form
 (`_check_character`); a cache file that fails the check raises CacheError.
 
 A calculator keeps the Schur form of every key it served.  It keeps a
-power-sum form only while the current request still consumes it
-(`consumed_keys` is the one dependency rule; a dry walk counts each form's
-consumers before the first evaluation), plus the full-space forms
-E(n, 0, 1), which every restriction of a later request reads, and each
-request's result until a later request consumes it.  A missing form is
-converted from Schur form, so the counts move memory, never a result.
+power-sum form only while the current request still consumes it, plus the
+full-space forms E(n, 0, 1), which every restriction of a later request
+reads, and each request's result until a later request consumes it.  A
+request that must evaluate plans once: one walk through `consumed_keys`
+(the one dependency rule), which stops at the keys in memory or on disk,
+lists the keys to evaluate, each after those it consumes, and counts the
+evaluations that consume each form.  A missing form is converted from
+Schur form, so the counts move memory, never a result.
 """
 
 import json
@@ -316,10 +318,10 @@ class CharacterCalculator:
     form only while the current request still consumes it, except the
     full-space forms E(n, 0, 1), which every restriction (n, k, 2) of a
     later request reads, and the result of a request, until a later request
-    has consumed it.  A request that must evaluate counts first, by a dry
-    walk over `consumed_keys`, how many of its evaluations consume each form
-    (`_count_uses`); a form leaves `_powersum` after its last consumer
-    (`_release`).  A form that is missing when needed, such as that of a
+    has consumed it.  A request that must evaluate plans once (`_plan`):
+    the keys to evaluate, each after the keys it consumes, and how many of
+    those evaluations consume each form; a form leaves `_powersum` after
+    its last consumer.  A form that is missing when needed, such as that of a
     GIT base, a loaded key or a key an earlier request computed, is
     converted from its Schur form (`_operand`), so no result depends on the
     counts.  With a cache directory every computed key is also written to
@@ -329,13 +331,13 @@ class CharacterCalculator:
     def __init__(self, cache_dir=None):
         self._powersum: dict[tuple[int, int, int], BiSymFunc] = {}
         self._schur: dict[tuple[int, int, int], BiSymFunc] = {}
-        self._uses: dict[tuple[int, int, int], int] | None = None  # during a request
         self.cache_dir = Path(cache_dir) if cache_dir else None
 
     # -- public surface ---------------------------------------------------
 
     def normalized_key(self, n: int, k: int, l: int) -> tuple[int, int, int]:
-        """Clamp l into [1, base_level]; levels 1 and 2 carry the same space.
+        """Clamp l into [2, base_level], or to 1 where base_level is 1; levels
+        1 and 2 carry the same space.
         n, k and l must be ints (`operator.index`)."""
         n, k, l = index(n), index(k), index(l)
         if l < 1:
@@ -366,49 +368,44 @@ class CharacterCalculator:
 
     def _compute(self, key) -> BiSymFunc:
         """The Schur form of E(key): from memory, else from disk, else
-        evaluated.  The first key of a request that must be evaluated counts
-        the request's uses first (`_count_uses`)."""
+        evaluated along its plan (`_plan`).  Each form whose last consumer
+        has been evaluated leaves `_powersum` before that consumer is
+        stored, except the full-space forms E(n, 0, 1)."""
         value = self._schur.get(key)
         if value is None:
             value = self._load(key)
         if value is None:
-            if self._uses is not None:
-                return self._store(key, self._evaluate(key))
-            self._uses = self._count_uses(key)
-            try:
-                value = self._store(key, self._evaluate(key))
-            finally:
-                self._uses = None
+            order, uses = self._plan(key)
+            for step in order:
+                value = self._evaluate(step)
+                for used in consumed_keys(step):
+                    uses[used] -= 1
+                    if not uses[used] and not (used[1] == 0 and used[2] <= 2):
+                        self._powersum.pop(used, None)
+                value = self._store(step, value)
         return value
 
-    def _count_uses(self, key) -> dict[tuple[int, int, int], int]:
-        """How many evaluations of the request for E(key) consume each
-        power-sum form: a dry walk from `key` through `consumed_keys` that
-        stops at the keys in `_schur`.  A key on disk is walked as if it were
-        evaluated, so a partial cache can keep a form longer, never drop it
-        early."""
-        uses: dict[tuple[int, int, int], int] = {}
-        todo, walked = [key], {key}
-        while todo:
-            for used in consumed_keys(todo.pop()):
+    def _plan(self, key):
+        """The keys a request for the missing E(key) must evaluate, each
+        listed after the keys it consumes, and how many of these evaluations
+        consume each power-sum form: one post-order walk from `key` through
+        `consumed_keys`.  A key in `_schur`, or on disk (`_load` reads it
+        here), ends the walk, so the counts are exact."""
+        order, uses = [], {}
+        stack, walked = [(key, iter(consumed_keys(key)))], {key}
+        while stack:
+            top, pending = stack[-1]
+            for used in pending:
                 uses[used] = uses.get(used, 0) + 1
-                if used not in walked and used not in self._schur:
-                    walked.add(used)
-                    todo.append(used)
-        return uses
-
-    def _release(self, keys) -> None:
-        """Count one consumption of each form of `keys`, and drop each form
-        whose last consumer in the current request has run, except the
-        full-space forms E(n, 0, 1) (k = 0, normalized l <= 2).  Outside a
-        request nothing is counted."""
-        uses = self._uses
-        if uses is None:
-            return
-        for key in keys:
-            uses[key] = left = uses.get(key, 0) - 1
-            if left <= 0 and not (key[1] == 0 and key[2] <= 2):
-                self._powersum.pop(key, None)
+                if used in walked or used in self._schur or self._load(used) is not None:
+                    continue
+                walked.add(used)
+                stack.append((used, iter(consumed_keys(used))))
+                break
+            else:
+                stack.pop()
+                order.append(top)
+        return order, uses
 
     def _operand(self, key) -> BiSymFunc:
         """The power-sum form of E(key), converted from Schur form if missing."""
@@ -420,24 +417,19 @@ class CharacterCalculator:
     def _evaluate(self, key):
         """E(key): a BiSymFunc, in Schur form for a GIT base and in power sums
         otherwise, or the `Packed` sum of a level step: the operand plus
-        `sign` times every correction of `level`.  The forms it consumes
-        (`consumed_keys`) are released before it returns."""
+        `sign` times every correction of `level`."""
         n, k, l = key
-        consumed = consumed_keys(key)
-        operands = [self._operand(used) for used in consumed]
+        operands = [self._operand(used) for used in consumed_keys(key)]
         if n == 3:
-            value = BiSymFunc.tensor(complete(k), complete(3 - k))
-        elif not operands:  # the stable end for k = 0
-            value = git_base_odd(n) if n % 2 else git_base_even(n)
-        elif k and l <= 2:
-            value = restrict_full(operands[0].y_symfunc(), k)
-        else:
-            level, sign = (l, 1) if k == 0 else (l - 1, -1)
-            operand, *subs = operands
-            corrections = [self._correction(sub, m, level) for m, sub in enumerate(subs, 1)]
-            value = pack_terms(operand.terms, SCHUR, (k, n - k), corrections, sign)
-        self._release(consumed)
-        return value
+            return BiSymFunc.tensor(complete(k), complete(3 - k))
+        if not operands:  # the stable end for k = 0
+            return git_base_odd(n) if n % 2 else git_base_even(n)
+        if k and l <= 2:
+            return restrict_full(operands[0].y_symfunc(), k)
+        level, sign = (l, 1) if k == 0 else (l - 1, -1)
+        operand, *subs = operands
+        corrections = [self._correction(sub, m, level) for m, sub in enumerate(subs, 1)]
+        return pack_terms(operand.terms, SCHUR, (k, n - k), corrections, sign)
 
     def _correction(self, sub: BiSymFunc, m: int, l: int):
         """Correction added when the weight crosses 1/(l+1): strata of m light
@@ -552,6 +544,10 @@ class CharacterCalculator:
                 f"malformed cache file {path}: bidegree {payload.get('bidegree')!r}, "
                 f"want {[k, n - k]}"
             )
+        if payload.get("basis") != SCHUR:  # `character_json` writes Schur forms only
+            raise CacheError(
+                f"malformed cache file {path}: basis {payload.get('basis')!r}, want {SCHUR!r}"
+            )
         try:
             value = BiSymFunc.from_json_dict(payload)
             # json.loads keeps the last of repeated keys.  In a file that
@@ -566,15 +562,6 @@ class CharacterCalculator:
                 f"malformed cache file {path}: {text.count(':')} ':' where its fields, "
                 f"terms and exponents make {pairs} keys; a key is repeated or unknown"
             )
-        if value.basis == POWERSUM:
-            # A change of basis keeps every q-degree, and its cost grows with
-            # the largest one: a q^e above q^(n-3) is rejected unconverted.
-            top = max((c.degree for c in value.terms.values()), default=-1)
-            if top > n - 3:
-                raise CacheError(
-                    f"cache file {path} fails verification: a q^{top} part above q^{n - 3}"
-                )
-            value = value.to_schur()
         try:
             _check_character(key, value)
         except ArithmeticError as exc:

@@ -575,9 +575,9 @@ def test_cache_rejects_exponent_above_top(tmp_path, capsys):
 
 
 def test_cache_rejects_powersum_exponent_above_top_unconverted(tmp_path, capsys, monkeypatch):
-    """A power-sum file is rejected for a q-exponent above n-3 before its
-    change of basis, whose cost grows with that exponent: a q^100000 part
-    exits 3 at once, with no conversion."""
+    """The cache holds Schur forms only: a power-sum file is rejected before
+    any change of basis, whose cost would grow with its q-exponents, so one
+    with a q^100000 part exits 3 at once, with no conversion."""
     payload = {"v": 1, "n": 5, "k": 0, "l": 2, "basis": POWERSUM, "bidegree": [0, 5]}
     payload["terms"] = [
         {"x": [], "y": [5], "coeff": {"0": "1", "100000": "1"}},
@@ -592,7 +592,7 @@ def test_cache_rejects_powersum_exponent_above_top_unconverted(tmp_path, capsys,
         return real_change_basis(*args, **kwargs)
 
     monkeypatch.setattr(symfunc, "change_basis", counting)
-    with pytest.raises(CacheError, match="verification: a q\\^100000 part above q\\^2"):
+    with pytest.raises(CacheError, match="malformed.*basis 'powersum', want 'schur'"):
         CharacterCalculator(cache_dir=tmp_path).character(5)
     start = time.perf_counter()
     assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
@@ -747,22 +747,6 @@ def test_cache_files_reencode_byte_identical(tmp_path):
     assert len(warm._schur) == len(paths) and not warm._powersum
 
 
-def test_cache_reads_powersum_file(tmp_path):
-    """A file in power sums, with fractional coefficients, loads and is
-    converted to Schur form."""
-    value = CharacterCalculator().character(6, 0, 2)
-    working = value.to_powersum()
-    assert any(c._d > 1 for c in working.terms.values())
-    payload = {"v": 1, "n": 6, "k": 0, "l": 2, "basis": POWERSUM, "bidegree": [0, 6]}
-    payload["terms"] = [
-        {"x": list(lx), "y": list(ly), "coeff": c.to_json_dict()}
-        for (lx, ly), c in working.terms.items()
-    ]
-    (tmp_path / "E_6_0_2.json").write_text(json.dumps(payload))
-    loaded = CharacterCalculator(cache_dir=tmp_path).character(6, 0, 2)
-    assert loaded.basis == SCHUR and loaded == value
-
-
 def test_edge_coefficients_of_every_chamber_key():
     """The check `_store` applies, on every key with n <= 9: q^0 and q^(n-3)
     carry exactly s_(k) (x) s_(n-k)."""
@@ -868,7 +852,10 @@ def test_warm_cache_does_no_change_of_basis(tmp_path, monkeypatch):
 
 
 def test_partial_cache_feeds_the_recursion(tmp_path, monkeypatch):
-    """Keys loaded in Schur form are converted when the recursion uses them."""
+    """Keys loaded in Schur form are converted, once each, when an evaluation
+    reads them, and every form leaves the memo after its last consumer: what
+    stays is the full space E(10, 0, 1), kept under l = 2, and the last
+    result."""
     _fill_cache(tmp_path, 9)
     keys = ((10, 0, 1), (10, 3, 4))
     cold = CharacterCalculator()
@@ -880,11 +867,24 @@ def test_partial_cache_feeds_the_recursion(tmp_path, monkeypatch):
         evaluated.append(key)
         return real_evaluate(self, key)
 
+    real_to_powersum = BiSymFunc.to_powersum
+    converted = []
+
+    def converting(self):
+        converted.append(self)
+        return real_to_powersum(self)
+
     monkeypatch.setattr(CharacterCalculator, "_evaluate", recording)
+    monkeypatch.setattr(BiSymFunc, "to_powersum", converting)
     warm = CharacterCalculator(cache_dir=tmp_path)
     assert [warm.character(*key) for key in keys] == expected
     assert evaluated and all(n == 10 for n, _, _ in evaluated)
-    assert any(n < 10 for n, _, _ in warm._powersum)
+    read = {used for key in evaluated for used in moduli.consumed_keys(key)}
+    loaded = read - set(evaluated)
+    assert loaded and all(n < 10 for n, _, _ in loaded)
+    bases = {key for key in evaluated if not moduli.consumed_keys(key)}  # the GIT base
+    assert sorted(map(id, converted)) == sorted(id(warm._schur[key]) for key in loaded | bases)
+    assert set(warm._powersum) == {(10, 0, 2), (10, 3, 4)}
     assert all(value.basis == POWERSUM for value in warm._powersum.values())
 
 
@@ -946,7 +946,6 @@ def test_cold_request_keeps_only_full_space_forms(monkeypatch):
     assert len(calc._schur) > 3 * len(calc._powersum)
     bases = [(n, k, l) for n, k, l in calc._schur if n > 3 and k == 0 and l == base_level(n, 0)]
     assert conversions.count(SCHUR) == len(bases) > 0
-    assert calc._uses is None
 
 
 def test_later_requests_keep_only_their_results():
@@ -966,7 +965,7 @@ def test_later_requests_keep_only_their_results():
 
 
 def test_forms_dropped_after_every_evaluation_are_rebuilt(monkeypatch):
-    """With every use count zero, each form but E(n, 0, 1) leaves the memo
+    """With every use count one, each form but E(n, 0, 1) leaves the memo
     after the first evaluation that reads it and is converted again from
     its Schur form for the next: cold E(n, 0, 1) for n <= 12 and every
     chamber key with n <= 9 still equal a normal calculator's."""
@@ -982,7 +981,13 @@ def test_forms_dropped_after_every_evaluation_are_rebuilt(monkeypatch):
     expected_chambers = _fill_cache(None, 9)._schur
     normal = conversions.count(SCHUR)
     conversions.clear()
-    monkeypatch.setattr(CharacterCalculator, "_count_uses", lambda self, key: {})
+    real_plan = CharacterCalculator._plan
+
+    def counting_once(self, key):
+        order, uses = real_plan(self, key)
+        return order, dict.fromkeys(uses, 1)
+
+    monkeypatch.setattr(CharacterCalculator, "_plan", counting_once)
     for n, expected in expected_full.items():
         assert CharacterCalculator().character(n) == expected, n
     assert _fill_cache(None, 9)._schur == expected_chambers
@@ -990,16 +995,16 @@ def test_forms_dropped_after_every_evaluation_are_rebuilt(monkeypatch):
 
 
 def test_served_requests_run_no_walk(tmp_path, monkeypatch):
-    """The use count walks once per request that must evaluate, and never for
-    a key served from memory or from the cache."""
+    """The plan walks once per request that must evaluate, and never for a
+    key served from memory or from the cache."""
     walks = []
-    real_count_uses = CharacterCalculator._count_uses
+    real_plan = CharacterCalculator._plan
 
     def recording(self, key):
         walks.append(key)
-        return real_count_uses(self, key)
+        return real_plan(self, key)
 
-    monkeypatch.setattr(CharacterCalculator, "_count_uses", recording)
+    monkeypatch.setattr(CharacterCalculator, "_plan", recording)
     calc = CharacterCalculator(cache_dir=tmp_path)
     calc.character(9, 2, 4)
     assert walks == [(9, 2, 4)]
@@ -1011,6 +1016,57 @@ def test_served_requests_run_no_walk(tmp_path, monkeypatch):
     for path in tmp_path.glob("E_*.json"):
         warm.character(*(int(a) for a in path.stem.split("_")[1:]))
     assert walks == [(9, 2, 4)] and warm._powersum == {}
+
+
+def test_requests_leave_no_per_request_state(monkeypatch):
+    """A calculator holds only its memos and its cache directory between
+    requests, also after a request that failed halfway: the next request
+    plans afresh and serves what a fresh calculator serves."""
+    calc = CharacterCalculator()
+    calc.character(8, 2, 3)
+    assert set(vars(calc)) == {"_powersum", "_schur", "cache_dir"}
+    real_check = moduli._check_character
+    failed = []
+
+    def failing_once(key, value):
+        if key == (9, 0, 3) and not failed:
+            failed.append(key)
+            raise ArithmeticError("injected")
+        real_check(key, value)
+
+    monkeypatch.setattr(moduli, "_check_character", failing_once)
+    with pytest.raises(ArithmeticError, match="injected"):
+        calc.character(9)
+    assert failed == [(9, 0, 3)] and (9, 0, 2) not in calc._schur
+    assert set(vars(calc)) == {"_powersum", "_schur", "cache_dir"}
+    assert calc.character(9) == CharacterCalculator().character(9)
+
+
+def test_plan_lists_each_key_after_its_operands():
+    """For every normalized key with n <= 10, the plan of a fresh
+    calculator lists each key once, after every key it consumes, ends with
+    the key, and counts exactly the listed evaluations that consume each
+    form."""
+    calc = CharacterCalculator()
+    keys = {
+        calc.normalized_key(n, k, l)
+        for n in range(3, 11)
+        for k in range(n + 1)
+        for l in range(1, base_level(n, k) + 1)
+    }
+    for key in keys:
+        order, uses = calc._plan(key)
+        position = {step: i for i, step in enumerate(order)}
+        assert len(position) == len(order) and order[-1] == key
+        consumers = {}
+        for step in order:
+            for used in moduli.consumed_keys(step):
+                assert position[used] < position[step], (key, step, used)
+                consumers[used] = consumers.get(used, 0) + 1
+        assert uses == consumers, key
+    assert calc._schur == {} and calc._powersum == {}
+    for n, planned in ((14, 82), (22, 304)):  # cold E(n, 0, 1)
+        assert len(calc._plan(calc.normalized_key(n, 0, 1))[0]) == planned
 
 
 @pytest.mark.parametrize("key", [(7, 0, 2.5), (6, 1.0, 2)])
