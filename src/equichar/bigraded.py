@@ -95,13 +95,13 @@ class BiSymFunc(_Terms):
 
     @classmethod
     def from_json_dict(cls, data) -> "BiSymFunc":
-        """Parse `to_json_dict` output, in either basis.  Each leg must be a
-        partition of its degree, looked up among `partitions_of` (a part
-        such as 4.9 matches none; 4.0 reads as 4), and a repeated term raises
-        ValueError; terms with a zero coefficient are dropped."""
-        basis = data["basis"]
-        if basis not in (POWERSUM, SCHUR):
-            raise ValueError(f"unknown basis {basis!r}")
+        """Parse `to_json_dict` output, which is in Schur form; any other
+        basis raises ValueError.  Each leg must be a partition of its degree,
+        looked up among `partitions_of` (a part such as 4.9 matches none; 4.0
+        reads as 4), and a repeated term raises ValueError; terms with a zero
+        coefficient are dropped."""
+        if data["basis"] != SCHUR:
+            raise ValueError(f"basis {data['basis']!r}, want {SCHUR!r}")
         xdeg, ydeg = map(index, data["bidegree"])
         xs, ys = _partition_index(xdeg), _partition_index(ydeg)
         xparts, yparts = partitions_of(xdeg), partitions_of(ydeg)
@@ -117,7 +117,7 @@ class BiSymFunc(_Terms):
             if key in terms:
                 raise ValueError(f"repeated term {key}")
             terms[key] = QPoly.from_json_dict(t["coeff"])
-        return cls._raw(basis, xdeg, ydeg, {key: c for key, c in terms.items() if c})
+        return cls._raw(SCHUR, xdeg, ydeg, {key: c for key, c in terms.items() if c})
 
     def __repr__(self) -> str:
         return (

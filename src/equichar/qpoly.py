@@ -66,24 +66,28 @@ class QPoly:
 
     def __init__(self, coeffs=0):
         """From a number or {exponent: coefficient}; an exponent must be a
-        non-negative int (1.5 raises TypeError)."""
+        non-negative int (1.5 raises TypeError).  An int coefficient is
+        its own numerator; only other values go through `Fraction`, so
+        integer polynomials are built without it."""
         if isinstance(coeffs, QPoly):
             self._c, self._d = dict(coeffs._c), coeffs._d
             return
         if isinstance(coeffs, (int, Fraction)):
             coeffs = {0: coeffs}
-        fracs = {}
+        nums, d, plain = {}, 1, True
         for k, v in coeffs.items():
             k = index(k)
             if k < 0:
                 raise ValueError("negative q-exponents are not supported")
-            v = Fraction(v)
+            if type(v) is not int:
+                v, plain = Fraction(v), False
+                d = lcm(d, v.denominator)
             if v:
-                fracs[k] = v
-        # The lcm of reduced denominators leaves the numerators coprime to it.
-        d = lcm(*(v.denominator for v in fracs.values()))
-        self._c = {k: v.numerator * (d // v.denominator) for k, v in fracs.items()}
-        self._d = d
+                nums[k] = v
+        if not plain:
+            # The lcm of reduced denominators leaves the numerators coprime to it.
+            nums = {k: v.numerator * (d // v.denominator) for k, v in nums.items()}
+        self._c, self._d = nums, d
 
     @classmethod
     def from_numerators(cls, numerators: dict, denominator: int = 1) -> "QPoly":

@@ -27,15 +27,19 @@ the conversion of its basis element with coefficient 1 is computed once
 per process (`_unit`) and scaled by the coefficient.
 
 The character values of S_n are held once per degree, in one flat
-`array('q')` in column-major order (`_table`), memoized globally.  Column
-mu = (a, nu) is built from column nu of the S_(n-a) table by adding border
-strips of a cells on an abacus (the Murnaghan-Nakayama rule).  A leg reads
-the table in place: a column slice takes p_mu to Schur functions, a strided
-row slice times the class sizes n!/z_mu takes s_lam to power sums.  Only
-the rows lam at or before their conjugate lam' are read, since
-chi^lam'(mu) = sign(mu) chi^lam(mu).  `character_value` reads one entry of
-the same store.  The one-row Schur functions h_m have a closed form in
-power sums, `complete(m)`, which needs no table.
+`array('q')` in column-major order (`_table`), memoized globally, and only
+for the rows lam at or before their conjugate lam' in `partitions_of(n)`:
+the other rows follow from chi^lam'(mu) = sign(mu) chi^lam(mu).  Column
+(1^n) holds the dimensions f^lam, by hook lengths.  Column mu = (a, nu)
+with a >= 2 is built from column nu of the S_(n-a) table by adding border
+strips of a cells on an abacus (the Murnaghan-Nakayama rule), so a table
+never reads S_(n-1), and a request that converts no leg of degree n-1
+builds no S_(n-1).  A leg reads the table in place: a column slice takes
+p_mu to Schur functions, a strided row slice times the class sizes n!/z_mu
+takes s_lam to power sums, and lam' comes with lam in both.
+`character_value` reads one entry of the same store.  The one-row Schur
+functions h_m have a closed form in power sums, `complete(m)`, which needs
+no table.
 
 Plethysm twists the grading variable: p_a composed with q^k p_mu gives
 q^(a*k) p_(a*mu), while q-coefficients of the outer operand pass through
@@ -50,7 +54,7 @@ from array import array
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
-from operator import add, getitem, index, itemgetter
+from operator import add, getitem, index, itemgetter, mul
 
 from .partitions import (
     centralizer_order,
@@ -76,28 +80,34 @@ def _partition_index(n: int) -> dict:
 
 @cache
 def _table(n: int) -> array:
-    """The character table of S_n, stored once: chi^lam_i(mu_j) at index
-    j*P + i (column-major, P = p(n)), for lam_i and mu_j in `partitions_of(n)`.
+    """The character table of S_n, stored once and by half: chi^lam(mu) at
+    index j*H + r (column-major), for mu = partitions_of(n)[j] and lam the
+    r-th of the H rows that `_leg_layout(n)` keeps, those with lam <= lam'.
+    The other rows follow from chi^lam'(mu) = sign(mu) chi^lam(mu).
 
-    Column mu = (a, nu) is the Schur expansion of p_mu = p_a p_nu, built from
-    column nu of the S_(n-a) table by the Murnaghan-Nakayama rule on an
-    n-bead abacus.  A partition of size at most n is the bitmask of its
-    beta-numbers lam_i + n - 1 - i (i < n, lam padded with zeros);
-    multiplying s_kappa by p_a adds a border strip of a cells, which moves
-    one bead from b up to an empty b + a, with sign (-1)^(beads passed).
-    The strips added to one kappa of S_(n-a) are listed once per build.
+    Column (1^n) holds the dimensions f^lam, by hook lengths.  Any other
+    column mu = (a, nu) has a >= 2 and is the Schur expansion of
+    p_mu = p_a p_nu, built from column nu of the S_(n-a) table by the
+    Murnaghan-Nakayama rule on an n-bead abacus; so S_(n-1) is never read.
+    Column nu is expanded to all kappa of S_(n-a), kappa' taking
+    sign(nu) = (-1)^(|nu| - len nu) times the value of kappa.  A partition
+    of size at most n is the bitmask of its beta-numbers lam_i + n - 1 - i
+    (i < n, lam padded with zeros); multiplying s_kappa by p_a adds a border
+    strip of a cells, which moves one bead from b up to an empty b + a, with
+    sign (-1)^(beads passed).  The strips added to one kappa of S_(n-a) are
+    listed once per build, as the positions of the kept rows they reach.
     `array('q')` refuses a value outside 64-bit range with OverflowError
     instead of wrapping, so every stored character value is exact.
     """
     if not n:
         return array("q", [1])
-    parts = partitions_of(n)
-    position = {mask: i for i, mask in enumerate(_abacus(n))}
+    parts, half, masks = partitions_of(n), _leg_layout(n)[1], _abacus(n)
+    position = {masks[i]: r for r, i in enumerate(half)}
     strips: dict[tuple[int, int], tuple[list, list]] = {}
 
     def added(a, k):
-        """Indices of the lam reached from partitions_of(n - a)[k] by one
-        a-strip, split by sign."""
+        """Positions among the kept rows of the lam reached from
+        partitions_of(n - a)[k] by one a-strip, split by sign."""
         out = strips.get((a, k))
         if out is None:
             # the n - a beads of kappa moved up by a, over a beads for its zero parts
@@ -108,24 +118,33 @@ def _table(n: int) -> array:
             while beads:
                 bead = beads & -beads
                 beads ^= bead
-                passed = (mask >> bead.bit_length() & between).bit_count()
-                out[passed & 1].append(position[mask ^ bead ^ (bead << a)])
+                r = position.get(mask ^ bead ^ (bead << a))
+                if r is not None:
+                    passed = (mask >> bead.bit_length() & between).bit_count()
+                    out[passed & 1].append(r)
             strips[a, k] = out
         return out
 
     table = array("q")
     for mu in parts:
         a, m = mu[0], n - mu[0]
-        small, size = _table(m), len(partitions_of(m))
-        j = _partition_index(m)[mu[1:]]
-        column = [0] * len(parts)
-        for k, c in enumerate(small[j * size : (j + 1) * size]):
+        if a == 1:
+            table.extend(irrep_dimension(parts[i]) for i in half)
+            continue
+        index, small_half, small_mirror, small_odd, _ = _leg_layout(m)
+        j, size = index[mu[1:]], len(small_half)
+        sign = -1 if small_odd[j] else 1
+        expanded = [0] * len(index)  # column nu over all of partitions_of(m)
+        for k, k2, c in zip(small_half, small_mirror, _table(m)[j * size : (j + 1) * size]):
+            expanded[k], expanded[k2] = c, sign * c  # c = 0 where k = k2 and sign = -1
+        column = [0] * len(half)
+        for k, c in enumerate(expanded):
             if c:
                 plus, minus = added(a, k)
-                for i in plus:
-                    column[i] += c
-                for i in minus:
-                    column[i] -= c
+                for r in plus:
+                    column[r] += c
+                for r in minus:
+                    column[r] -= c
         table.extend(column)
     return table
 
@@ -149,12 +168,15 @@ def _class_sizes(n: int) -> tuple[int, ...]:
 
 @cache
 def character_value(lam, mu) -> int:
-    """Symmetric-group character chi^lam at cycle type mu, read off the stored table."""
+    """Symmetric-group character chi^lam at cycle type mu, read off the
+    stored half table: a row lam > lam' is read at lam', times sign(mu)."""
     n = sum(lam)
     if n != sum(mu):
         raise ValueError("character requires |lam| == |mu|")
-    index = _partition_index(n)
-    return _table(n)[index[mu] * len(index) + index[lam]]
+    index, half, _, odd, row = _leg_layout(n)
+    i, j = index[lam], index[mu]
+    value = _table(n)[j * len(half) + row[i]]
+    return -value if odd[j] and half[row[i]] != i else value
 
 
 class Packed:
@@ -181,7 +203,8 @@ class Packed:
 def _largest_entry(n: int, to_schur: bool) -> int:
     """The largest absolute entry of the matrix a leg of degree n is
     multiplied by: max |chi^lam(mu)| to Schur functions, max of
-    (n!/z_mu) |chi^lam(mu)| to power sums.
+    (n!/z_mu) |chi^lam(mu)| to power sums, the latter a scan of the stored
+    half table, whose rows hold every |chi^lam(mu)|.
 
     To Schur functions it is the largest dimension f^lam, by hook lengths,
     with no scan of the table.  chi^lam(mu) is the trace of the matrix of a
@@ -190,8 +213,8 @@ def _largest_entry(n: int, to_schur: bool) -> int:
     f^lam roots of unity, and |chi^lam(mu)| <= f^lam = chi^lam(1^n)."""
     if to_schur:
         return max(map(irrep_dimension, partitions_of(n)))
-    table, size = _table(n), len(partitions_of(n))
-    columns = (table[j * size : (j + 1) * size] for j in range(size))
+    table, size = _table(n), len(_leg_layout(n)[1])
+    columns = (table[j * size : (j + 1) * size] for j in range(len(partitions_of(n))))
     return max(max(max(c), -min(c)) * z for c, z in zip(columns, _class_sizes(n)))
 
 
@@ -268,8 +291,8 @@ def convert_packed(packed: Packed) -> dict:
         for key, x in terms.items():
             groups.setdefault(key[:leg] + key[leg + 1 :], []).append((key[leg], x))
         terms = {}
-        for rest, inputs in groups.items():
-            for i, x in enumerate(_convert_leg(inputs, degree, to_schur)):
+        for rest, out in zip(groups, _convert_leg(groups.values(), degree, to_schur)):
+            for i, x in enumerate(out):
                 if x:
                     terms[rest[:leg] + (parts[i],) + rest[leg:]] = x
     d = packed.scale * (1 if to_schur else prod(map(factorial, degrees)))
@@ -278,62 +301,72 @@ def convert_packed(packed: Packed) -> dict:
 
 @cache
 def _leg_layout(n: int):
-    """What `_convert_leg` reads for degree n: the position of each
-    partition in `partitions_of(n)`, the stored table, the positions i whose
-    conjugate sits at i' >= i, those i', and for every mu whether it is an
-    odd class (n - len(mu) odd)."""
+    """The row layout of the S_n table: the position of each partition in
+    `partitions_of(n)`; `half`, the positions i whose conjugate sits at
+    i' >= i, the rows `_table(n)` keeps, in order; `mirror`, those i'; for
+    every mu whether it is an odd class (n - len(mu) odd, sign(mu) = -1);
+    and `row`, for every position i the place in `half` of i or of i'."""
     parts, index = partitions_of(n), _partition_index(n)
-    pairs = [(i, index[conjugate(lam)]) for i, lam in enumerate(parts)]
-    half = [(i, j) for i, j in pairs if i <= j]
+    conjugates = [index[conjugate(lam)] for lam in parts]
+    half = tuple(i for i, i2 in enumerate(conjugates) if i <= i2)
+    place = {i: r for r, i in enumerate(half)}
     return (
         index,
-        _table(n),
-        tuple(i for i, _ in half),
-        tuple(j for _, j in half),
+        half,
+        tuple(conjugates[i] for i in half),
         tuple((n - len(mu)) % 2 == 1 for mu in parts),
+        tuple(place[min(i, i2)] for i, i2 in enumerate(conjugates)),
     )
 
 
-def _convert_leg(inputs, n: int, to_schur: bool) -> list:
-    """One leg of degree n: the integer products of the stored character
-    table with [(partition, packed value)], as a list over `partitions_of(n)`.
+def _convert_leg(groups, n: int, to_schur: bool) -> list:
+    """One leg of degree n: for each group [(partition, packed value)] of
+    `groups`, the integer products of the stored character table with it,
+    as a list over `partitions_of(n)`.  The layout and the table are looked
+    up once for all the groups.
 
-    p_mu to Schur is column mu, read in place; s_lam to power sums is row
-    lam, a strided slice, times the class sizes n!/z_mu.  Both read only
-    the rows lam with lam <= lam' in the table's order, since
-    chi^lam'(mu) = sign(mu) chi^lam(mu): to Schur, the even and the odd
-    classes are summed apart and give lam as their sum and lam' as their
-    difference; to power sums, s_lam and s_lam' enter as the sum and the
-    difference of their values, on the even and the odd classes.
+    The table holds the rows lam <= lam' (`_leg_layout`); the other rows
+    follow from chi^lam'(mu) = sign(mu) chi^lam(mu).  p_mu to Schur is
+    column mu, read in place: the even and the odd classes are summed apart
+    and give lam as their sum and lam' as their difference.  s_lam to power
+    sums is a strided row slice times the class sizes n!/z_mu, read only for
+    the rows of the inputs: s_lam and s_lam' enter row lam as the sum and
+    the difference of their values, on the even and the odd classes.
     """
-    index, table, half, mirror, odd = _leg_layout(n)
-    size = len(index)
-    acc = [0] * size
+    index, half, mirror, odd, row = _leg_layout(n)
+    table, size, width, out = _table(n), len(half), len(index), []
     if to_schur:
-        even_sum, odd_sum = [0] * size, [0] * size
+        for inputs in groups:
+            even_sum, odd_sum = [0] * size, [0] * size
+            for part, x in inputs:
+                j = index[part]
+                into = odd_sum if odd[j] else even_sum
+                for r, w in enumerate(table[j * size : (j + 1) * size]):
+                    if w:
+                        into[r] += w * x
+            acc = [0] * width
+            for i, i2, e, o in zip(half, mirror, even_sum, odd_sum):
+                acc[i] = e + o
+                if i2 != i:
+                    acc[i2] = e - o
+            out.append(acc)
+        return out
+    classes = _class_sizes(n)
+    for inputs in groups:
+        plus, minus = {}, {}  # by row: the even and the odd class weights
         for part, x in inputs:
-            j = index[part]
-            column, into = table[j * size : (j + 1) * size], odd_sum if odd[j] else even_sum
-            for i in half:
-                w = column[i]
+            i = index[part]
+            r = row[i]
+            plus[r] = plus.get(r, 0) + x
+            minus[r] = minus.get(r, 0) + (x if half[r] == i else -x)
+        acc = [0] * width
+        for r, p in plus.items():
+            m = minus[r]
+            for j, w in enumerate(table[r::size]):
                 if w:
-                    into[i] += w * x
-        for i, i2 in zip(half, mirror):
-            acc[i] = even_sum[i] + odd_sum[i]
-            if i2 != i:
-                acc[i2] = even_sum[i] - odd_sum[i]
-        return acc
-    values = [0] * size
-    for part, x in inputs:
-        values[index[part]] = x
-    for i, i2 in zip(half, mirror):
-        other = values[i2] if i2 != i else 0  # a self-conjugate lam vanishes on odd classes
-        plus, minus = values[i] + other, values[i] - other
-        if plus or minus:
-            for j, w in enumerate(table[i::size]):
-                if w:
-                    acc[j] += w * (minus if odd[j] else plus)
-    return [x * z for x, z in zip(acc, _class_sizes(n))]
+                    acc[j] += w * (m if odd[j] else p)
+        out.append(list(map(mul, acc, classes)))
+    return out
 
 
 def change_basis(terms: dict, target: str, degrees: tuple[int, ...]) -> dict:

@@ -198,6 +198,16 @@ def test_from_json_drops_zero_terms():
     assert BiSymFunc.from_json_dict(data) == BiSymFunc.zero(1, 2, SCHUR)
 
 
+def test_from_json_reads_only_schur_documents():
+    """`to_json_dict` writes Schur form alone, so a power-sum document, or
+    one naming any other basis, is refused before its terms are read."""
+    f = QPoly.q() * BiSymFunc.tensor(schur((2,)), schur((1,)))
+    for basis in (POWERSUM, "monomial", None):
+        data = dict(f.to_json_dict(), basis=basis)
+        with pytest.raises(ValueError, match="want 'schur'"):
+            BiSymFunc.from_json_dict(data)
+
+
 def test_addition_needs_matching_bidegree():
     f = BiSymFunc.tensor(schur((1,)), schur((2,)))
     g = BiSymFunc.tensor(schur((2,)), schur((1,)))

@@ -34,6 +34,30 @@ def test_from_numerators_is_reduced():
             QPoly.from_numerators({0: 1}, bad)
 
 
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=40), st.integers(-(10**30), 10**30), max_size=8
+    )
+)
+def test_integer_coefficients_build_the_numerators(coeffs):
+    """Int coefficients skip `Fraction`: the stored fields equal those of
+    `from_numerators` and of the `Fraction` build, with int numerators."""
+    for p, want in (
+        (QPoly(coeffs), QPoly.from_numerators(coeffs)),
+        (QPoly(coeffs.get(0, 0)), QPoly.from_numerators({0: coeffs.get(0, 0)})),
+    ):
+        assert (p._c, p._d) == (want._c, want._d)
+        assert all(type(v) is int for v in p._c.values())
+    fractional = QPoly({k: Fraction(v) for k, v in coeffs.items()})
+    assert (QPoly(coeffs)._c, QPoly(coeffs)._d) == (fractional._c, fractional._d)
+
+
+def test_mixed_and_boolean_coefficients_keep_int_numerators():
+    p = QPoly({0: 3, 2: Fraction(1, 2), 4: True})
+    assert (p._c, p._d) == ({0: 6, 2: 1, 4: 2}, 2)
+    assert all(type(v) is int for v in QPoly({1: True, 2: Fraction(4, 2)})._c.values())
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         QPoly({-1: 1})

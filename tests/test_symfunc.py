@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from equichar.bigraded import BiSymFunc
-from equichar.moduli import blowup_fiber_character
+from equichar.moduli import CharacterCalculator, blowup_fiber_character
 from equichar.oracles import jacobi_trudi_to_powersum
-from equichar.partitions import centralizer_order, irrep_dimension, partitions_of, union
+from equichar.partitions import (
+    centralizer_order,
+    conjugate,
+    irrep_dimension,
+    partitions_of,
+    union,
+)
 from equichar.qpoly import QPoly
 from equichar.symfunc import (
     POWERSUM,
@@ -74,6 +80,45 @@ def test_character_table_column_norms(n):
     table = character_table(n)
     for j, mu in enumerate(partitions_of(n)):
         assert sum(row[j] ** 2 for row in table) == centralizer_order(mu)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_conjugate_character_is_signed(n):
+    """chi^lam'(mu) = sign(mu) chi^lam(mu), sign(mu) = (-1)^(n - len mu):
+    the rows the half table does not store are read this way."""
+    for lam in partitions_of(n):
+        for mu in partitions_of(n):
+            sign = (-1) ** (n - len(mu))
+            assert character_value(conjugate(lam), mu) == sign * character_value(lam, mu)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_table_keeps_the_rows_up_to_their_conjugate(n):
+    """p(n) columns of the rows lam <= lam': the self-conjugate partitions
+    and one of each conjugate pair."""
+    parts = partitions_of(n)
+    self_conjugate = sum(lam == conjugate(lam) for lam in parts)
+    assert len(_table(n)) == len(parts) * (len(parts) + self_conjugate) // 2
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_table_builds_no_table_one_degree_below(n):
+    """Column (1^n) comes from hook lengths and every other column from
+    S_(n-a) with a >= 2, so S_n builds S_0 .. S_(n-2) and not S_(n-1)."""
+    _table.cache_clear()
+    _table(n)
+    assert _table.cache_info().currsize == n
+    _table(n - 1)
+    assert _table.cache_info().currsize == n + 1
+
+
+def test_cold_full_space_builds_no_table_one_degree_below():
+    """A cold E(14, 0, 1) converts no leg of degree 13, so it builds no S_13."""
+    _table.cache_clear()
+    CharacterCalculator().character(14, 0, 1)
+    built = _table.cache_info().currsize
+    _table(13)
+    assert _table.cache_info().currsize == built + 1
 
 
 @given(partitions(max_size=6, min_size=1), partitions(max_size=6, min_size=1))
