@@ -33,10 +33,6 @@ class BiSymFunc(_Terms):
     _legs = _key = staticmethod(tuple)
 
     @classmethod
-    def zero(cls, xdeg: int, ydeg: int, basis: str = POWERSUM) -> "BiSymFunc":
-        return cls._raw(basis, xdeg, ydeg, {})
-
-    @classmethod
     def tensor(cls, fx: SymFunc, fy: SymFunc) -> "BiSymFunc":
         """External product fx (x) fy."""
         a, b = fx.to_powersum(), fy.to_powersum()
@@ -45,12 +41,6 @@ class BiSymFunc(_Terms):
             for ly, cy in b.terms.items():
                 out[(lx, ly)] = cx * cy
         return cls._raw(POWERSUM, a.degree, b.degree, out)
-
-    @classmethod
-    def embed_y(cls, f: SymFunc) -> "BiSymFunc":
-        """f on the y-leg, in power sums, with an empty x-leg: 1 (x) f."""
-        g = f.to_powersum()
-        return cls._raw(POWERSUM, 0, g.degree, {((), ly): c for ly, c in g.terms.items()})
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -80,7 +70,8 @@ class BiSymFunc(_Terms):
 
     def to_json_dict(self) -> dict:
         """The Schur form as JSON: terms ordered by the x-partition, then the
-        y-partition, each largest first under `partitions.compare`."""
+        y-partition, each in the column order (conjugates compared
+        lexicographically, largest first)."""
         fs = self.to_schur()
         xs, ys = _partition_index(fs.xdeg), _partition_index(fs.ydeg)
         order = sorted(fs.terms, key=lambda k: (xs[k[0]], ys[k[1]]))

@@ -173,7 +173,7 @@ def blowup_fiber_character(m: int, l: int) -> SymFunc:
     if l < 1:
         raise ValueError("need l >= 1")
     if l == 1:
-        return SymFunc.zero(m)
+        return SymFunc(POWERSUM, m)
     strata = QPoly.q() * QPoly.geometric(l - 1)
     terms = {}
     for mu, coeff in complete(m).terms.items():
@@ -351,18 +351,6 @@ class CharacterCalculator:
     def poincare_polynomial(self, n: int) -> QPoly:
         """Graded dimension of the cohomology of the full space on n points."""
         return self.character(n, 0, 1).dimension_poly()
-
-    def blowup_correction(self, n: int, k: int, m: int, l: int) -> BiSymFunc:
-        """The level-l correction term of stratum size m, in the Schur basis."""
-        if l < 2:
-            raise ValueError("corrections only exist for l >= 2")
-        if not 1 <= m <= (n - k) // (l + 1):
-            raise ValueError(f"m must lie in [1, {(n - k) // (l + 1)}]")
-        if n - l * m < 3:
-            raise ValueError("the blown-up stratum has no underlying moduli space")
-        sub = self.character(n - l * m, k + m, l + 1).to_powersum()
-        packed = pack_terms({}, SCHUR, (k, n - k), [self._correction(sub, m, l)])
-        return BiSymFunc._raw(SCHUR, k, n - k, convert_packed(packed))
 
     # -- the recursion -----------------------------------------------------
 

@@ -53,9 +53,6 @@ class SymmetricPoly:
     def __init__(self, nvars: int, deg: int, num: dict, den: int):
         self.nvars, self.deg, self.num, self.den = nvars, deg if num else 0, num, den
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymmetricPoly):
             return NotImplemented

@@ -43,27 +43,16 @@ def part_sum(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a + (mu[i] if i < len(mu) else 0) for i, a in enumerate(lam))
 
 
-def compare(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Total order on partitions of one size; returns -1, 0 or 1.
-
-    ``lam`` ranks above ``mu`` when the first column height in which they
-    differ is larger, i.e. the conjugates are compared lexicographically.
-    Comparing partitions of different sizes is undefined and rejected.
-    """
-    if sum(lam) != sum(mu):
-        raise ValueError("cannot compare partitions of different sizes")
-    a, b = conjugate(lam), conjugate(mu)
-    return (a > b) - (a < b)
-
-
 def sort_key(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """Key realizing `compare`: sorting ascending by this key sorts ascending."""
+    """Key of the column order on partitions of one size: their conjugates,
+    compared lexicographically."""
     return conjugate(lam)
 
 
 @cache
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n, exactly once, largest first under `compare`."""
+    """All partitions of n, exactly once, in the column order: conjugates
+    compared lexicographically, largest first."""
     if n < 0:
         raise ValueError("n must be non-negative")
     found = []

@@ -9,7 +9,7 @@ one gcd normalisation; no `Fraction` arithmetic happens in them.  One
 denominator per polynomial suffices for characters: in a power-sum term p_mu
 every q-coefficient has a denominator dividing z_mu.
 
-The public readers (`coeff`, `items`, `evaluate`, JSON) give reduced
+The public readers (`coeff`, `items`, JSON) give reduced
 `Fraction` values; text and LaTeX are written by `render`.
 """
 
@@ -25,10 +25,6 @@ class ExactDivisionError(ArithmeticError):
 
 def rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @lru_cache(maxsize=1024)
@@ -65,14 +61,14 @@ class QPoly:
     __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs=0):
-        """From a number or {exponent: coefficient}; an exponent must be a
-        non-negative int (1.5 raises TypeError).  An int coefficient is
-        its own numerator; only other values go through `Fraction`, so
-        integer polynomials are built without it."""
+        """From {exponent: coefficient}, or a scalar c, read as {0: c}; an
+        exponent must be a non-negative int (1.5 raises TypeError).  An int
+        coefficient is its own numerator; only other values go through
+        `Fraction`, so integer polynomials are built without it."""
         if isinstance(coeffs, QPoly):
             self._c, self._d = dict(coeffs._c), coeffs._d
             return
-        if isinstance(coeffs, (int, Fraction)):
+        if not isinstance(coeffs, dict):
             coeffs = {0: coeffs}
         nums, d, plain = {}, 1, True
         for k, v in coeffs.items():
@@ -171,6 +167,8 @@ class QPoly:
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return QPoly(other) - self
 
     def __mul__(self, other) -> "QPoly":
@@ -272,10 +270,6 @@ class QPoly:
             k += 1
         return _make(out, divisor)
 
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        return sum((v * x**k for k, v in self._c.items()), Fraction(0)) / self._d
-
     def is_effective(self) -> bool:
         """True when every coefficient is a non-negative integer."""
         return self._d == 1 and (not self._c or min(self._c.values()) > 0)
@@ -292,7 +286,7 @@ class QPoly:
         """Parse `to_json_dict` output.  Each exponent is read by `_exponent`,
         so each power of q has one key.  Integer strings (`-?[0-9]+`), the
         only kind a character's Schur coefficients take, are read with `int`;
-        a polynomial with any other value goes through `parse_rat`, so both
+        a polynomial with any other value goes through `Fraction`, so both
         accept the same input."""
         c = {}
         for k, v in data.items():
@@ -302,7 +296,7 @@ class QPoly:
                 and v.isascii()
                 and (v.isdigit() or v[:1] == "-" and v[1:].isdigit())
             ):
-                return cls({_exponent(k): parse_rat(v) for k, v in data.items()})
+                return cls({_exponent(k): Fraction(v) for k, v in data.items()})
             v = int(v)
             if v:
                 c[e] = v

@@ -588,10 +588,6 @@ class SymFunc(_Terms):
     def _degrees(self) -> tuple[int]:
         return (self.degree,)
 
-    @classmethod
-    def zero(cls, degree: int, basis: str = POWERSUM) -> "SymFunc":
-        return cls(basis, degree, {})
-
     # -- ring structure, bound in the class body, where perfbench/spans.py patches it
 
     __add__, __sub__ = _Terms._sum, _Terms._difference
@@ -689,11 +685,6 @@ def powersum(lam, coeff=1) -> SymFunc:
 
 def schur(lam, coeff=1) -> SymFunc:
     return _single(SCHUR, lam, coeff)
-
-
-def one() -> SymFunc:
-    """The unit of the ring: the empty partition in degree 0."""
-    return SymFunc(POWERSUM, 0, {(): 1})
 
 
 @cache

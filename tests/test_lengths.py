@@ -26,7 +26,7 @@ def test_leading_partition_column_order():
 
 def test_leading_partition_rejects_zero():
     with pytest.raises(ValueError):
-        leading_partition(SymFunc.zero(3, SCHUR))
+        leading_partition(SymFunc(SCHUR, 3))
 
 
 def test_leading_partition_of_powersum_input():

@@ -49,7 +49,7 @@ def test_expand_schur_2_in_two_vars():
 
 def test_expand_antisymmetric_vanishes_below_length():
     # s_(1,1,1) needs three variables; in two it is the zero polynomial
-    assert expand(schur((1, 1, 1)), 3).is_zero() is False
+    assert expand(schur((1, 1, 1)), 3).num
     with pytest.raises(ValueError):
         expand(schur((1, 1, 1)), 2)
 
@@ -126,8 +126,8 @@ def test_symmetric_poly_algebra():
     assert (b.deg, b.num, b.den) == (0, {(): 2}, 1)
     assert (a * b).num == {(1,): 2}
     zero = expand(schur((1,)) - schur((1,)), 3)
-    assert zero.is_zero() and zero.deg == 0
-    assert (a * zero).is_zero() and (zero * a).is_zero()
+    assert not zero.num and zero.deg == 0
+    assert not (a * zero).num and not (zero * a).num
 
 
 def test_product_beyond_nvars_or_across_nvars_raises():

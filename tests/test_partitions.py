@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from equichar.partitions import (
     centralizer_order,
     check_partition,
-    compare,
     conjugate,
     irrep_dimension,
     multiplicity_vector,
@@ -73,20 +72,17 @@ def test_part_sum_pads():
 
 def test_compare_column_order():
     # more/taller columns win: (1^n) is the largest partition of n
-    assert compare((1, 1, 1, 1), (2, 1, 1)) == 1
-    assert compare((2, 1, 1), (2, 2)) == 1
-    assert compare((4,), (3, 1)) == -1
-    assert compare((3, 1), (3, 1)) == 0
-
-
-def test_compare_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        compare((2,), (1,))
+    assert sort_key((1, 1, 1, 1)) > sort_key((2, 1, 1))
+    assert sort_key((2, 1, 1)) > sort_key((2, 2))
+    assert sort_key((4,)) < sort_key((3, 1))
+    assert sort_key((3, 1)) == sort_key((3, 1))
 
 
 @given(partitions())
 def test_compare_reflexive(lam):
-    assert compare(lam, lam) == 0
+    """The column order ranks lam equal to itself and to no other partition
+    of its size."""
+    assert [mu for mu in partitions_of(sum(lam)) if sort_key(mu) == sort_key(lam)] == [lam]
 
 
 def test_partition_counts():
@@ -98,7 +94,7 @@ def test_partition_counts():
 def test_partitions_sorted_descending():
     parts = partitions_of(6)
     for a, b in zip(parts, parts[1:]):
-        assert compare(a, b) == 1
+        assert sort_key(a) > sort_key(b)
     assert parts[0] == (1, 1, 1, 1, 1, 1)
     assert parts[-1] == (6,)
 

@@ -1,9 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equichar.qpoly import ExactDivisionError, QPoly, parse_rat, rat_str
+from equichar.qpoly import ExactDivisionError, QPoly, rat_str
 
 
 def qpolys(max_degree=6, max_coeff=9):
@@ -70,6 +71,37 @@ def test_exponent_must_be_an_int():
         with pytest.raises(TypeError):
             QPoly({bad: 1})
     assert QPoly.from_json_dict({"1": "1/2", "3": "-2"}) == QPoly({1: Fraction(1, 2), 3: -2})
+
+
+def _outcome(build):
+    """What build() gives: its value, or the type of the exception it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "scalar", [2.5, Fraction(-1, 3), 7, True, "3/4", "a", None, [1], float("nan"), float("inf")]
+)
+def test_scalar_builds_its_constant_term(scalar):
+    """QPoly(c) is QPoly({0: c}) for any scalar c: the same value, or the
+    same error, and never an AttributeError."""
+    built = _outcome(lambda: QPoly(scalar))
+    assert built == _outcome(lambda: QPoly({0: scalar}))
+    assert built is not AttributeError
+
+
+@pytest.mark.parametrize("other", ["a", 1.5, None, [1]])
+def test_arithmetic_with_other_types_raises_type_error(other):
+    """A sum, difference or product with a value that is no int, Fraction
+    or QPoly raises TypeError, on either side."""
+    p = QPoly({0: 1, 1: 2})
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
 
 
 def test_q_and_geometric():
@@ -168,13 +200,6 @@ def test_unpack_rejects_fewer_than_two_bits_for_a_nonzero_value(x):
         assert QPoly.unpack(0, bits, 1) == 0
 
 
-def test_evaluate():
-    p = QPoly({3: 1, 2: 16, 1: 16, 0: 1})
-    assert p.evaluate(1) == 34
-    assert p.evaluate(0) == 1
-    assert p.evaluate(Fraction(1, 2)) == Fraction(1 + 16 * 2 + 16 * 4 + 8, 8)
-
-
 def test_effectivity():
     assert QPoly({2: 3, 0: 1}).is_effective()
     assert not QPoly({1: -1}).is_effective()
@@ -187,7 +212,7 @@ def test_effectivity():
 
 def test_rat_round_trip():
     for f in (Fraction(3), Fraction(-5, 7), Fraction(0)):
-        assert parse_rat(rat_str(f)) == f
+        assert Fraction(rat_str(f)) == f
     assert rat_str(Fraction(3)) == "3"
     assert rat_str(Fraction(1, 2)) == "1/2"
 
@@ -213,7 +238,7 @@ rational_strings = st.builds(
 )
 def test_integer_parse_matches_fraction_parse(data):
     """The `int` path of `from_json_dict` reads what the `Fraction` path reads."""
-    expected = QPoly({int(k): parse_rat(v) for k, v in data.items()})
+    expected = QPoly({int(k): Fraction(v) for k, v in data.items()})
     assert QPoly.from_json_dict(data) == expected
 
 
@@ -222,10 +247,10 @@ def test_integer_parse_matches_fraction_parse(data):
 )
 def test_integer_test_matches_fraction_parse_on_edge_strings(value):
     """A value outside `-?[0-9]+` that `int` might still read goes the
-    `parse_rat` way: both paths give the same polynomial or both raise."""
+    `Fraction` way: both paths give the same polynomial or both raise."""
     data = {"0": "1", "2": value}
     try:
-        expected = QPoly({0: 1, 2: parse_rat(value)})
+        expected = QPoly({0: 1, 2: Fraction(value)})
     except ValueError:
         with pytest.raises(ValueError):
             QPoly.from_json_dict(data)

@@ -47,7 +47,7 @@ def test_bisymfunc_rendering():
     f = QPoly({1: 1, 0: 1}) * BiSymFunc.tensor(schur((2,)), schur((2,)))
     assert text(f) == "(q+1)*sx[2]*sy[2]"
     assert latex(f) == "(q+1)s^{x}_{(2)}s^{y}_{(2)}"
-    g = BiSymFunc.embed_y(schur((3,)))
+    g = BiSymFunc.tensor(schur(()), schur((3,)))
     assert text(g) == "s[3]"
 
 

@@ -27,7 +27,6 @@ from equichar.symfunc import (
     change_basis,
     character_value,
     complete,
-    one,
     pack_terms,
     powersum,
     schur,
@@ -67,10 +66,30 @@ def test_character_table_s4_sign_and_standard():
     assert character_value((3, 1), (4,)) == -1
 
 
-def test_character_at_identity_is_dimension():
-    for n in range(1, 17):
+def _dimensions_by_branching(n_max):
+    """f^lam for every partition of size <= n_max by the branching rule:
+    f^() = 1, and f^lam is the sum of f^(lam - corner) over the corners of
+    lam, the last cell of each row longer than the row below it."""
+    dims = {(): 1}
+    for n in range(1, n_max + 1):
         for lam in partitions_of(n):
-            assert character_value(lam, (1,) * n) == irrep_dimension(lam)
+            total = 0
+            for i, a in enumerate(lam):
+                if i + 1 == len(lam) or lam[i + 1] < a:
+                    smaller = lam[:i] + (a - 1,) + lam[i + 1 :]
+                    total += dims[smaller if a > 1 else smaller[:-1]]
+            dims[lam] = total
+    return dims
+
+
+def test_character_at_identity_is_dimension():
+    """The hook-length dimensions up to n = 24, and column (1^n) of the
+    character tables up to n = 16, against the branching rule."""
+    for lam, f in _dimensions_by_branching(24).items():
+        if lam:
+            assert irrep_dimension(lam) == f, lam
+            if sum(lam) <= 16:
+                assert character_value(lam, (1,) * sum(lam)) == f, lam
 
 
 @pytest.mark.parametrize("n", range(11, 17))
@@ -444,15 +463,16 @@ def test_pleth_matches_reference_on_the_empty_partition_and_zero():
     g = SymFunc(POWERSUM, 2, {(2,): QPoly.q(), (1, 1): Fraction(1, 3)})
     constant = SymFunc(POWERSUM, 0, {(): QPoly({0: Fraction(-4, 5), 1: 2})})
     _assert_pleth_matches_reference(constant, g)
-    _assert_pleth_matches_reference(one(), g)
-    _assert_pleth_matches_reference(g, one())
-    _assert_pleth_matches_reference(constant + SymFunc.zero(0), SymFunc.zero(3))
-    for zero in (SymFunc.zero(3), SymFunc.zero(0)):
+    _assert_pleth_matches_reference(powersum(()), g)
+    _assert_pleth_matches_reference(g, powersum(()))
+    zero0, zero3 = SymFunc(POWERSUM, 0), SymFunc(POWERSUM, 3)
+    _assert_pleth_matches_reference(constant + zero0, zero3)
+    for zero in (zero3, zero0):
         _assert_pleth_matches_reference(zero, g)
         assert zero.pleth(g).is_zero()
-    _assert_pleth_matches_reference(g, SymFunc.zero(3))
-    assert g.pleth(SymFunc.zero(3)).is_zero() and g.pleth(SymFunc.zero(3)).degree == 6
-    assert constant.pleth(SymFunc.zero(3)).terms == constant.terms
+    _assert_pleth_matches_reference(g, zero3)
+    assert g.pleth(zero3).is_zero() and g.pleth(zero3).degree == 6
+    assert constant.pleth(zero3).terms == constant.terms
 
 
 def test_plethysm_p2_in_p3():
@@ -513,7 +533,7 @@ def test_pderiv_empty_result_degree():
     f = powersum((2, 1))
     g = f.pderiv((2, 1))
     assert g.degree == 0
-    assert g == one()
+    assert g == powersum(())
 
 
 # --- gradings and dimensions -------------------------------------------------
@@ -529,7 +549,7 @@ def test_q_coefficient():
 def test_dimension_poly():
     f = QPoly.q() * schur((2, 1)) + schur((3,))
     assert f.dimension_poly() == QPoly({1: 2, 0: 1})
-    assert one().dimension_poly() == QPoly(1)
+    assert powersum(()).dimension_poly() == QPoly(1)
 
 
 @given(partitions(max_size=6, min_size=1))
