@@ -2,8 +2,9 @@
 
 Subcommands: compute a character, print Betti numbers, sweep the length
 analysis, run a verification suite, or manage the disk cache.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 cache corruption, and
-141 (128 + SIGPIPE) when stdout closes before the output is written.
+0 success, 1 usage error, 2 verification failure, 3 cache corruption or a
+failed cache read or write, and 141 (128 + SIGPIPE) when stdout closes
+before the output is written.
 """
 
 import argparse

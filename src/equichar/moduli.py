@@ -34,6 +34,13 @@ conversion (`symfunc.convert_packed`).  It is decoded twice: from that
 conversion to Schur form for the checks, and as it stands to power sums
 for the next steps.
 
+Restriction and each correction apply the normalized power-sum derivative,
+and one walker, `partitions.sub_multisets`, serves both, as it serves
+`SymFunc.pderiv` and `BiSymFunc.deriv_x`: it lists the splits of a leg into
+a sub-multiset of a given size and the rest.  A correction walks each x-leg
+of its sub key once and keeps the splits nu that `_blowup_kernel` has an
+entry for.
+
 Every key, computed or loaded, is checked in Schur form
 (`_check_character`); a cache file that fails the check raises CacheError.
 
@@ -56,7 +63,7 @@ from functools import cache
 from operator import index
 from pathlib import Path
 
-from .partitions import partitions_of, split_factor, union
+from .partitions import partitions_of, sub_multisets, union
 from .qpoly import ExactDivisionError, QPoly
 from .oracles import eulerian_numbers, keel_betti
 from .symfunc import (
@@ -76,6 +83,11 @@ from .bigraded import BiSymFunc, restrict_full
 
 class CacheError(RuntimeError):
     """The disk cache is unreadable or has an unexpected schema."""
+
+
+class CacheWriteError(CacheError, OSError):
+    """A cache file could not be written, as on a full disk: a CacheError,
+    and an OSError like the failed write it comes from."""
 
 
 CACHE_SCHEMA_VERSION = 1
@@ -166,14 +178,13 @@ def blowup_fiber_character(m: int, l: int) -> SymFunc:
     total m, each contributing prod_j s_(m_j) in q-degree sum_j j*m_j.  That
     sum is the plethysm h_m[X (q + ... + q^(l-1))], so the p_mu coefficient
     is that of h_m times prod_i (q^(mu_i) + q^(2 mu_i) + ... + q^((l-1) mu_i)).
-    The l = 1 fiber has no positive cohomology, so the character is zero.
+    The l = 1 fiber has no positive cohomology: the sum over q is empty, so
+    every coefficient and the character are zero.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     if l < 1:
         raise ValueError("need l >= 1")
-    if l == 1:
-        return SymFunc(POWERSUM, m)
     strata = QPoly.q() * QPoly.geometric(l - 1)
     terms = {}
     for mu, coeff in complete(m).terms.items():
@@ -228,8 +239,8 @@ def _blowup_kernel(m: int, l: int):
     `blowup_fiber_character(m, l)`: a correction is the sum over nu of
     sub.deriv_x(nu) times (p_nu * fiber) o h_(l+1) on the y-leg.
 
-    Returns (D, entries), D the lcm of all their denominators, and one entry
-    (nu, norm, terms) per nu whose plethysm is not zero: its y-terms
+    Returns (D, {nu: (norm, terms)}), D the lcm of all their denominators,
+    with an entry for each nu whose plethysm is not zero: its y-terms
     (partition, QPoly) and their `packed_norm` at D.  Shared; do not mutate.
     """
     fiber = blowup_fiber_character(m, l)
@@ -240,9 +251,9 @@ def _blowup_kernel(m: int, l: int):
         if not projected.is_zero():
             glued.append((nu, tuple(projected.pleth(glue).terms.items())))
     scale = common_denominator(c for _, terms in glued for _, c in terms)
-    return scale, tuple(
-        (nu, sum(packed_norm(c, scale) for _, c in terms), terms) for nu, terms in glued
-    )
+    return scale, {
+        nu: (sum(packed_norm(c, scale) for _, c in terms), terms) for nu, terms in glued
+    }
 
 
 def _check_character(key, value: BiSymFunc) -> None:
@@ -427,42 +438,40 @@ class CharacterCalculator:
         It is the sum of sub.deriv_x(nu) * glued over the entries of
         `_blowup_kernel(m, l)`, returned unevaluated as the addend
         (denominator, norm, add) that `pack_terms` sums; each product is
-        one integer multiplication.
+        one integer multiplication.  Each x-leg of `sub` is walked once by
+        `partitions.sub_multisets`, the walker behind every normalized
+        derivative, and each split nu that has a kernel entry is kept; at
+        l = 1 the fiber, and so the kernel, is empty, and none is kept.
         """
         glue_scale, kernel = _blowup_kernel(m, l)
         sub_scale = common_denominator(sub.terms.values())
-        by_x: dict[tuple, list] = {}  # x-partition: [sub terms, their packed norm]
-        for term, c in sub.terms.items():
-            entry = by_x.setdefault(term[0], [[], 0])
-            entry[0].append(term)
-            entry[1] += packed_norm(c, sub_scale)
-        # sub.deriv_x(nu), term by term: {y: [(x rest, count, sub term)]} per nu
-        derivatives = []
+        # sub.deriv_x(nu) for every nu at once: {(nu, y): [(x rest, count, sub term)]}
+        found: dict[tuple, list] = {}
+        walks: dict[tuple, list] = {}  # x-leg: its splits nu with a kernel entry
         norm = 0
-        for nu, glue_norm, glued in kernel:
-            found: dict[tuple, list] = {}
-            for lx, (terms, weight) in by_x.items():
-                hit = split_factor(lx, nu)
-                if hit is None:
-                    continue
-                rest, count = hit
-                for term in terms:
-                    found.setdefault(term[1], []).append((rest, count, term))
-                norm += count * weight * glue_norm
-            derivatives.append((found, glued))
+        for term, c in sub.terms.items():
+            lx, ly = term
+            if lx not in walks:
+                walks[lx] = [hit for hit in sub_multisets(lx, m) if hit[0] in kernel]
+            weight = packed_norm(c, sub_scale)
+            for nu, rest, count in walks[lx]:
+                found.setdefault((nu, ly), []).append((rest, count, term))
+                norm += count * weight * kernel[nu][0]
 
         def add(acc: dict, scale: int, bits: int, sign: int) -> None:
             packed = {term: c.pack(sub_scale, bits) for term, c in sub.terms.items()}
+            ys = {
+                nu: [(gy, sign * g.pack(scale // sub_scale, bits)) for gy, g in glued]
+                for nu, (_, glued) in kernel.items()
+            }
             get = acc.get
-            for found, glued in derivatives:
-                ys = [(gy, sign * g.pack(scale // sub_scale, bits)) for gy, g in glued]
-                for ly, hits in found.items():
-                    line = [(union(ly, gy), y) for gy, y in ys]
-                    for rest, count, term in hits:
-                        x = count * packed[term]
-                        for joined, y in line:
-                            key = (rest, joined)
-                            acc[key] = get(key, 0) + x * y
+            for (nu, ly), hits in found.items():
+                line = [(union(ly, gy), y) for gy, y in ys[nu]]
+                for rest, count, term in hits:
+                    x = count * packed[term]
+                    for joined, y in line:
+                        key = (rest, joined)
+                        acc[key] = get(key, 0) + x * y
 
         return sub_scale * glue_scale, norm, add
 
@@ -484,18 +493,20 @@ class CharacterCalculator:
         if value.basis == POWERSUM:
             self._powersum[key] = value
         if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
             path = self._path(key)
             # Write a private temporary file and rename it over the target, so
             # a crash or a concurrent writer never leaves a truncated E_*.json.
             tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
             try:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
                 tmp.write_text(character_json(key, in_schur) + "\n")
                 # `cache --clear` may remove the temporary file before its
                 # rename; then this write is skipped: the value is still
                 # served, and a later run computes the key again.
                 with suppress(FileNotFoundError):
                     os.replace(tmp, path)
+            except OSError as exc:
+                raise CacheWriteError(f"cannot write cache file {path}: {exc}") from exc
             finally:
                 tmp.unlink(missing_ok=True)
         return in_schur

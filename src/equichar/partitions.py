@@ -6,6 +6,7 @@ so values can be shared freely between threads.
 """
 
 from functools import cache
+from itertools import groupby
 from math import comb, factorial
 from operator import index
 
@@ -104,20 +105,24 @@ def irrep_dimension(lam: tuple[int, ...]) -> int:
     return dim
 
 
-def split_factor(mu, lam):
-    """Remove the multiset lam from mu, counting the ways to mark it.
-
-    Returns ``(rest, count)`` with ``count = prod_j C(m_j(mu), m_j(lam))``,
-    or None when lam is not contained in mu.  This is exactly the action of
-    the normalized power-sum derivative on a monomial.
-    """
-    mult = multiplicity_vector(mu)
-    count = 1
-    for j, m in multiplicity_vector(lam).items():
-        have = mult.get(j, 0)
-        if have < m:
-            return None
-        count *= comb(have, m)
-        mult[j] = have - m
-    rest = tuple(sorted((j for j, m in mult.items() for _ in range(m)), reverse=True))
-    return rest, count
+def sub_multisets(mu, size):
+    """Triples (lam, mu - lam, prod_j C(m_j(mu), m_j(lam))) over the
+    sub-multisets lam of the partition mu with |lam| = size, both parts
+    partitions.  This is the normalized power-sum derivative on a monomial:
+    d/dp_lam, divided by prod_j m_j(lam)!, sends p_mu to count * p_(mu - lam)."""
+    # Partial splits (lam, rest, count, size still to take), extended one
+    # distinct part at a time; `left` is what the later parts can still give.
+    found = [((), (), 1, size)]
+    left = sum(mu)
+    for j, group in groupby(mu):
+        m = len(tuple(group))
+        left -= j * m
+        grown = []
+        for lam, rest, count, need in found:
+            for r in range(min(m, need // j) + 1):
+                if need - j * r <= left:
+                    grown.append(
+                        (lam + (j,) * r, rest + (j,) * (m - r), count * comb(m, r), need - j * r)
+                    )
+        found = grown
+    return [(lam, rest, count) for lam, rest, count, need in found if need == 0]

@@ -40,6 +40,22 @@ def _exponent(key) -> int:
     return int(key)
 
 
+def _coefficient(value) -> int | Fraction:
+    """The coefficient a JSON string holds: an integer `-?D+` or a fraction
+    `-?D+/D+` with a nonzero denominator, D an ASCII digit.  `Fraction` alone
+    would also read " 1/2", "+1", "1_0", "0.5", non-ASCII digits and
+    "1e999999999", which builds a number of a billion digits."""
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        unsigned = num[1:] if num[:1] == "-" else num
+        if unsigned.isascii() and unsigned.isdigit():
+            if not slash:
+                return int(num)
+            if den.isascii() and den.isdigit() and int(den):
+                return Fraction(int(num), int(den))
+    raise ValueError(f"coefficient {value!r} is not an integer or a fraction of integers")
+
+
 def _make(c: dict, d: int) -> "QPoly":
     """The QPoly c / d for int numerators c (no zeros) and d > 0, reduced."""
     if not c:
@@ -285,9 +301,10 @@ class QPoly:
     def from_json_dict(cls, data) -> "QPoly":
         """Parse `to_json_dict` output.  Each exponent is read by `_exponent`,
         so each power of q has one key.  Integer strings (`-?[0-9]+`), the
-        only kind a character's Schur coefficients take, are read with `int`;
-        a polynomial with any other value goes through `Fraction`, so both
-        accept the same input."""
+        only kind a character's Schur coefficients take, are read with `int`
+        directly; a polynomial with any other value is read by
+        `_coefficient`, which accepts only integers and fractions of
+        integers, so both paths accept the same input."""
         c = {}
         for k, v in data.items():
             e = _exponent(k)
@@ -296,7 +313,7 @@ class QPoly:
                 and v.isascii()
                 and (v.isdigit() or v[:1] == "-" and v[1:].isdigit())
             ):
-                return cls({_exponent(k): Fraction(v) for k, v in data.items()})
+                return cls({_exponent(k): _coefficient(v) for k, v in data.items()})
             v = int(v)
             if v:
                 c[e] = v

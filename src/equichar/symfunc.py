@@ -62,7 +62,7 @@ from .partitions import (
     conjugate,
     irrep_dimension,
     partitions_of,
-    split_factor,
+    sub_multisets,
     union,
 )
 from .qpoly import QPoly
@@ -476,21 +476,22 @@ class _Terms:
 
     def _derivative(self, leg: int, nu):
         """The normalized power-sum derivative (prod_i 1/m_i!) d/dp_nu on one
-        leg, on monomials a marked removal of the sub-multiset nu from that
-        leg (`split_factor`).  Returns a power-sum result whose leg degree
-        is |nu| lower."""
+        leg: each term keeps the nu entry of the walk over the sub-multisets
+        of size |nu| of that leg (`partitions.sub_multisets`, the walker that
+        restriction and the blow-up corrections use too).  Returns a
+        power-sum result whose leg degree is |nu| lower."""
         nu = check_partition(nu)
+        size = sum(nu)
         f = self.to_powersum()
         legs_of, key_of = self._legs, self._key
         out: dict = {}
         for key, c in f.terms.items():
             legs = legs_of(key)
-            hit = split_factor(legs[leg], nu)
-            if hit is not None:
-                rest, count = hit
-                _acc(out, key_of(legs[:leg] + (rest,) + legs[leg + 1 :]), c * count)
+            for lam, rest, count in sub_multisets(legs[leg], size):
+                if lam == nu:
+                    _acc(out, key_of(legs[:leg] + (rest,) + legs[leg + 1 :]), c * count)
         degrees = list(f._degrees)
-        degrees[leg] -= sum(nu)
+        degrees[leg] -= size
         return self._raw(POWERSUM, *degrees, out)
 
     def __neg__(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from test_partitions import split_factor
 
 from equichar.bigraded import BiSymFunc, restrict_full
 from equichar.moduli import CharacterCalculator
@@ -220,12 +221,24 @@ def test_addition_needs_matching_bidegree():
         f + g
 
 
+def _pderiv(f, lam):
+    """The reference normalized derivative d/dp_lam: `split_factor` on each
+    term, where `SymFunc.pderiv` keeps one entry of the walk."""
+    out = {}
+    for mu, c in f.to_powersum().terms.items():
+        hit = split_factor(mu, lam)
+        if hit is not None:
+            rest, count = hit
+            out[rest] = c * count
+    return SymFunc(POWERSUM, f.degree - sum(lam), out)
+
+
 def _restrict_by_derivatives(f, k):
-    """sum over lam of n-k of f.pderiv(lam) (x) p_lam: one derivative per lam."""
+    """sum over lam of n-k of d/dp_lam f (x) p_lam: one derivative per lam."""
     n = f.degree
     total = BiSymFunc(POWERSUM, k, n - k)
     for lam in partitions_of(n - k):
-        total = total + BiSymFunc.tensor(f.pderiv(lam), powersum(lam))
+        total = total + BiSymFunc.tensor(_pderiv(f, lam), powersum(lam))
     return total
 
 

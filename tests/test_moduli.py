@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_partitions import split_factor
 
 from equichar import moduli, symfunc
 from equichar.bigraded import BiSymFunc
@@ -234,6 +235,18 @@ def test_git_base_remainder_is_fatal(build, monkeypatch):
         build(7 if build is git_base_odd else 8)
 
 
+def _deriv_x(f, nu):
+    """The reference normalized derivative d/dp_nu on the x-leg: `split_factor`
+    on each term, where `BiSymFunc.deriv_x` keeps one entry of the walk."""
+    out = {}
+    for (lx, ly), c in f.to_powersum().terms.items():
+        hit = split_factor(lx, nu)
+        if hit is not None:
+            rest, count = hit
+            out[rest, ly] = c * count
+    return BiSymFunc(POWERSUM, f.xdeg - sum(nu), f.ydeg, out)
+
+
 def _reference_correction(calc, n, k, m, l):
     sub = calc.character(n - l * m, k + m, l + 1).to_powersum()
     fiber = _reference_fiber(m, l)
@@ -241,7 +254,7 @@ def _reference_correction(calc, n, k, m, l):
     total = BiSymFunc(POWERSUM, k, n - k)
     for nu in partitions_of(m):
         projected = powersum(nu).kron(fiber)
-        total = total + sub.deriv_x(nu) * embed_y(projected.pleth(glue))
+        total = total + _deriv_x(sub, nu) * embed_y(projected.pleth(glue))
     return total
 
 
@@ -255,11 +268,13 @@ def _packed_correction(calc, n, k, m, l):
 
 
 def test_corrections_match_definition():
+    """Every correction with n <= 9, also at l = 1, which no level step
+    reaches: its fiber has no positive cohomology, so the correction is zero."""
     calc = CharacterCalculator()
     checked = 0
     for n in range(3, 10):
         for k in range(n + 1):
-            for l in range(2, n - k):
+            for l in range(1, n - k):
                 for m in range(1, (n - k) // (l + 1) + 1):
                     if n - l * m < 3:
                         continue
@@ -271,7 +286,8 @@ def test_corrections_match_definition():
 
 def _reference_level_step(calc, key):
     """E(key) as the operand plus or minus the corrections of its level,
-    each sum of deriv_x(nu) * glued added with QPoly arithmetic."""
+    each sum of the reference derivative `_deriv_x(sub, nu)` times glued,
+    added with QPoly arithmetic."""
     n, k, l = key
     source, level, sign = (l + 1, l, 1) if k == 0 else (l - 1, l - 1, -1)
     total = calc.character(n, k, source).to_powersum()
@@ -463,12 +479,17 @@ def test_cache_rejects_tampered_coefficients(tmp_path):
     calc.character(5)
     path = tmp_path / "E_5_0_2.json"
     original = path.read_text()
-    for bad in ("-1", "1/2", "1.5"):
+    # "1.5" is no integer or fraction of integers, so it is not even read.
+    for bad, reason in (
+        ("-1", "verification"),
+        ("1/2", "verification"),
+        ("1.5", "malformed cache file"),
+    ):
         payload = json.loads(original)
         payload["terms"][0]["coeff"]["0"] = bad
         path.write_text(json.dumps(payload))
         fresh = CharacterCalculator(cache_dir=tmp_path)
-        with pytest.raises(CacheError, match="verification"):
+        with pytest.raises(CacheError, match=reason):
             fresh.character(5)
 
 
@@ -513,6 +534,12 @@ def _with_repeat(payload, coeff):
             lambda payload: _with_coeff(payload, {"0": "1", "01": "1", "2": "1"}),
             id="coeff-exponent-leading-zero",
         ),
+        pytest.param(lambda payload: _with_coeff(payload, {"1": "1/0"}), id="coeff-over-zero"),
+        pytest.param(lambda payload: _with_coeff(payload, {"1": "1e3"}), id="coeff-1e3"),
+        pytest.param(lambda payload: _with_coeff(payload, {"1": "+1"}), id="coeff-plus-sign"),
+        pytest.param(lambda payload: _with_coeff(payload, {"1": " 1/2"}), id="coeff-padded"),
+        pytest.param(lambda payload: _with_coeff(payload, {"1": "0.5"}), id="coeff-decimal"),
+        pytest.param(lambda payload: _with_coeff(payload, {"1": 1}), id="coeff-number"),
         pytest.param(lambda payload: _with(payload, basis="monomial"), id="unknown-basis"),
         pytest.param(lambda payload: _with_term(payload, 0, y=[4, 2]), id="term-size"),
         pytest.param(lambda payload: _with_term(payload, 0, y=[1, 4]), id="increasing-parts"),
@@ -525,14 +552,17 @@ def _with_repeat(payload, coeff):
 )
 def test_cache_rejects_malformed_json(tmp_path, capsys, edit):
     """Valid JSON of the wrong shape is a CacheError, and `compute` exits 3:
-    a file that is not an object, a coefficient that is not one, an unknown
-    basis, a term that is no pair of partitions of the bidegree or that
-    appears twice, an exponent key other than the one `to_json_dict`
-    writes, and a bidegree that is not two ints."""
+    a file that is not an object, a coefficient that is not one, a
+    coefficient value that is no string of an integer or of a fraction of
+    integers with a nonzero denominator, an unknown basis, a term that is
+    no pair of partitions of the bidegree or that appears twice, an
+    exponent key other than the one `to_json_dict` writes, and a bidegree
+    that is not two ints."""
     CharacterCalculator(cache_dir=tmp_path).character(5)
     path = tmp_path / "E_5_0_2.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    with pytest.raises(CacheError, match="JSON object|malformed"):
+    # The phrases, not "malformed" alone, which the name of tmp_path holds.
+    with pytest.raises(CacheError, match="does not hold a JSON object|malformed cache file"):
         CharacterCalculator(cache_dir=tmp_path).character(5)
     assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
     assert "cache error" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,7 @@ from equichar.partitions import (
     partitions_of,
     part_sum,
     sort_key,
-    split_factor,
+    sub_multisets,
     union,
 )
 
@@ -129,21 +131,67 @@ def test_irrep_dimension_squares(n):
     assert sum(irrep_dimension(lam) ** 2 for lam in partitions_of(n)) == math.factorial(n)
 
 
-def test_split_factor_counts_removals():
+def split_factor(mu, lam):
+    """Reference for one term of the normalized power-sum derivative: remove
+    the multiset lam from mu, counting the ways to mark it.
+
+    Returns ``(rest, count)`` with ``count = prod_j C(m_j(mu), m_j(lam))``,
+    or None when lam is not contained in mu.  It tries one given lam, where
+    `sub_multisets` walks them all; the derivative references of the other
+    test files are built on it.
+    """
+    mult = multiplicity_vector(mu)
+    count = 1
+    for j, m in multiplicity_vector(lam).items():
+        have = mult.get(j, 0)
+        if have < m:
+            return None
+        count *= math.comb(have, m)
+        mult[j] = have - m
+    rest = tuple(sorted((j for j, m in mult.items() for _ in range(m)), reverse=True))
+    return rest, count
+
+
+def test_sub_multisets_counts_removals():
     # removing one part 2 from (2, 2, 1): two identical choices
-    assert split_factor((2, 2, 1), (2,)) == ((2, 1), 2)
-    assert split_factor((2, 2, 1), (2, 1)) == ((2,), 2)
-    assert split_factor((3, 1), (2,)) is None
-    assert split_factor((3, 1), ()) == ((3, 1), 1)
+    assert sub_multisets((2, 2, 1), 2) == [((2,), (2, 1), 2)]
+    assert sub_multisets((2, 2, 1), 3) == [((2, 1), (2,), 2)]
+    assert sub_multisets((3, 1), 2) == []
+    assert sub_multisets((3, 1), 0) == [((), (3, 1), 1)]
+    assert sub_multisets((), 0) == [((), (), 1)]
+    assert sub_multisets((), 1) == [] == sub_multisets((), -1) == sub_multisets((1,), -1)
 
 
 @given(partitions(6), partitions(3))
-def test_split_factor_consistency(mu, lam):
-    hit = split_factor(mu, lam)
-    if hit is not None:
-        rest, count = hit
-        assert union(rest, lam) == mu
+def test_sub_multisets_consistency(mu, lam):
+    """The walk of size |lam| holds lam exactly when the reference finds it
+    in mu, with the reference's rest and count."""
+    walk = {nu: (rest, count) for nu, rest, count in sub_multisets(mu, sum(lam))}
+    assert walk.get(lam) == split_factor(mu, lam)
+    for nu, (rest, count) in walk.items():
+        assert union(rest, nu) == mu
         assert count >= 1
+
+
+@given(partitions(10), st.data())
+def test_sub_multisets_match_index_subsets(mu, data):
+    """Against brute force: the index subsets of mu with part sum `size`,
+    grouped by the multiset of parts they pick, give each lam once, with
+    its complement and the number of subsets as the count."""
+    size = data.draw(st.integers(min_value=-1, max_value=sum(mu) + 1))
+    expected: Counter = Counter()
+    for r in range(len(mu) + 1):
+        for picked in combinations(range(len(mu)), r):
+            if sum(mu[i] for i in picked) == size:
+                lam = tuple(mu[i] for i in picked)
+                rest = tuple(a for i, a in enumerate(mu) if i not in picked)
+                expected[lam, rest] += 1
+    walk = sub_multisets(mu, size)
+    assert len(walk) == len(expected)
+    assert {(lam, rest): count for lam, rest, count in walk} == dict(expected)
+    for lam, rest, _ in walk:
+        check_partition(lam)
+        check_partition(rest)
 
 
 def test_sort_key_is_conjugate():

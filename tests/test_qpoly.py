@@ -243,19 +243,25 @@ def test_integer_parse_matches_fraction_parse(data):
 
 
 @pytest.mark.parametrize(
-    "value", ["+5", " 5", "5_0", "\u0665", "\u00b2", "5.0", "1e3", "--5", "-", "", "-0", "007"]
+    "value",
+    ["+5", " 5", "5_0", "\u0665", "\u00b2", "5.0", "1e3", "--5", "-", "", "-0", "007",
+     "-03/06", "1/0", "-3/0", " 1/2", "1/2 ", "+1/2", "1/-2", "1/+2", "1//2", "1/2/3", "/2",
+     "1/", "0.5", 5, None],
 )
 def test_integer_test_matches_fraction_parse_on_edge_strings(value):
-    """A value outside `-?[0-9]+` that `int` might still read goes the
-    `Fraction` way: both paths give the same polynomial or both raise."""
+    """A coefficient is read only as a string `-?D+` or `-?D+/D+`, D an ASCII
+    digit, with a nonzero denominator: of these values only "-0", "007" and
+    "-03/06" are read, and every other one raises ValueError.  `Fraction`
+    reads "+5", " 5", "5_0", non-ASCII digits, "5.0", "1e3" and " 1/2",
+    fails on "1/0" with ZeroDivisionError, and on an exponent such as
+    "1e999999999" builds the number before anything can fail."""
     data = {"0": "1", "2": value}
-    try:
-        expected = QPoly({0: 1, 2: Fraction(value)})
-    except ValueError:
-        with pytest.raises(ValueError):
-            QPoly.from_json_dict(data)
+    accepted = {"-0": 0, "007": 7, "-03/06": Fraction(-1, 2)}
+    if value in accepted:
+        assert QPoly.from_json_dict(data) == QPoly({0: 1, 2: accepted[value]})
     else:
-        assert QPoly.from_json_dict(data) == expected
+        with pytest.raises(ValueError, match="coefficient"):
+            QPoly.from_json_dict(data)
 
 
 def test_json_rejects_negative_exponents():

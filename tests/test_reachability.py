@@ -30,9 +30,6 @@ PACKAGE = ROOT / "src" / "equichar"
 
 # Names no command enters, each with the reason it stays.
 UNREACHED = {
-    "symfunc._Terms._sum": "documented arithmetic: + of SymFunc and BiSymFunc",
-    "symfunc._Terms._difference": "documented arithmetic: - of SymFunc and BiSymFunc",
-    "symfunc._Terms.scale": "documented arithmetic: scaling by a QPoly or a number",
     "symfunc._Terms._derivative": "documented; perfbench/spans.py patches its callers",
     "symfunc.SymFunc.pderiv": "documented; perfbench/spans.py patches it",
     "bigraded.BiSymFunc.deriv_x": "documented; perfbench/spans.py patches it",

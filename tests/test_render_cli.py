@@ -1,6 +1,7 @@
 """Rendering conventions, the command-line surface, including exit codes, and
 the names the package exports."""
 
+import errno
 import json
 import os
 import re
@@ -310,6 +311,23 @@ def test_cli_empty_cache_file_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "fails verification" in captured.err
+
+
+def test_cli_failed_cache_write_exits_3(tmp_path, monkeypatch, capsys):
+    """A cache write that fails, as on a full disk, ends in one `cache error`
+    line naming the file and exit 3, not a traceback.  The OSError of a full
+    disk names no file, as this one does not."""
+
+    def full(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"equichar: cache error: cannot write cache file {tmp_path}")
+    assert captured.err.endswith(f": [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_package_exports():
