@@ -89,8 +89,8 @@ class BiSymFunc(_Terms):
         looked up among `partitions_of` (a part such as 4.9 matches none; 4.0
         reads as 4), and a repeated term raises ValueError; terms with a zero
         coefficient are dropped."""
-        if data["basis"] != SCHUR:
-            raise ValueError(f"basis {data['basis']!r}, want {SCHUR!r}")
+        if data.get("basis") != SCHUR:
+            raise ValueError(f"basis {data.get('basis')!r}, want {SCHUR!r}")
         xdeg, ydeg = map(index, data["bidegree"])
         xs, ys = _partition_index(xdeg), _partition_index(ydeg)
         xparts, yparts = partitions_of(xdeg), partitions_of(ydeg)

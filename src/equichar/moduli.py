@@ -57,6 +57,7 @@ Schur form, so the counts move memory, never a result.
 
 import json
 import os
+import re
 import threading
 from contextlib import suppress
 from functools import cache
@@ -313,12 +314,31 @@ def character_json(key, value: BiSymFunc) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _same_ints(value, want) -> bool:
+    """value == want, with value an int or a list or tuple of ints, as
+    `character_json` writes them: in Python the JSON values true, false and
+    6.0 equal 1, 0 and 6."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    return value == want and all(type(v) is int for v in values)
+
+
+# The name `_path` gives the cache file of a key: n, k and l in decimal.
+_CACHE_NAME = r"E(?:_(?:0|[1-9][0-9]*)){3}\.json"
+_CACHE_FILE = re.compile(_CACHE_NAME)
+_CACHE_TEMPORARY = re.compile(rf"\.{_CACHE_NAME}\..*\.tmp")
+
+
 def cache_files(directory: Path) -> tuple[list[Path], list[Path]]:
     """The cache files `E_{n}_{k}_{l}.json` in `directory`, and the temporary
-    files that writers killed before their rename left behind."""
+    files `.E_{n}_{k}_{l}.json.*.tmp` that writers killed before their rename
+    left behind; other names, such as `E_notes.json`, are not the cache's."""
     if not directory.is_dir():
         return [], []
-    return sorted(directory.glob("E_*.json")), sorted(directory.glob(".E_*.json.*.tmp"))
+    paths = sorted(directory.iterdir())
+    return (
+        [p for p in paths if _CACHE_FILE.fullmatch(p.name)],
+        [p for p in paths if _CACHE_TEMPORARY.fullmatch(p.name)],
+    )
 
 
 class CharacterCalculator:
@@ -530,22 +550,18 @@ class CharacterCalculator:
             raise CacheError(f"unreadable cache file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise CacheError(f"cache file {path} does not hold a JSON object")
-        if payload.get("v") != CACHE_SCHEMA_VERSION:
+        if not _same_ints(payload.get("v"), CACHE_SCHEMA_VERSION):
             raise CacheError(
                 f"cache schema mismatch in {path}: "
                 f"want v={CACHE_SCHEMA_VERSION}, found v={payload.get('v')!r}"
             )
-        if (payload.get("n"), payload.get("k"), payload.get("l")) != key:
+        if not _same_ints((payload.get("n"), payload.get("k"), payload.get("l")), key):
             raise CacheError(f"cache file {path} describes a different key")
         # Checked before parsing, which enumerates the partitions of each degree.
-        if payload.get("bidegree") != [k, n - k]:
+        if not _same_ints(payload.get("bidegree"), [k, n - k]):
             raise CacheError(
                 f"malformed cache file {path}: bidegree {payload.get('bidegree')!r}, "
                 f"want {[k, n - k]}"
-            )
-        if payload.get("basis") != SCHUR:  # `character_json` writes Schur forms only
-            raise CacheError(
-                f"malformed cache file {path}: basis {payload.get('basis')!r}, want {SCHUR!r}"
             )
         try:
             value = BiSymFunc.from_json_dict(payload)

@@ -3,7 +3,8 @@
 A `QPoly` is stored as integer numerators over one common denominator: a dict
 from exponent to nonzero int, plus one positive int `_d`, always in lowest
 terms (gcd of `_d` and every numerator is 1; the zero polynomial has `_d` 1).
-The form is canonical, so equality and hashing compare the stored fields.
+The form is canonical, so equality and hashing compare the stored fields;
+a constant polynomial hashes as the int or `Fraction` it equals.
 Products, sums and exact division run on the integer numerators and end in
 one gcd normalisation; no `Fraction` arithmetic happens in them.  One
 denominator per polynomial suffices for characters: in a power-sum term p_mu
@@ -145,6 +146,8 @@ class QPoly:
         return self._d == other._d and self._c == other._c
 
     def __hash__(self):
+        if self._c.keys() <= {0}:  # a constant hashes as the int or Fraction it equals
+            return hash(self.coeff(0))
         return hash((self._d, frozenset(self._c.items())))
 
     def __add__(self, other) -> "QPoly":
@@ -176,16 +179,12 @@ class QPoly:
         return _make({k: -v for k, v in self._c.items()}, self._d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly(other)
-        if not isinstance(other, QPoly):
+        if not isinstance(other, (QPoly, int, Fraction)):
             return NotImplemented
-        return self + (-other)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return QPoly(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> "QPoly":
         if not isinstance(other, QPoly):

@@ -89,13 +89,13 @@ def _table(n: int) -> array:
     column mu = (a, nu) has a >= 2 and is the Schur expansion of
     p_mu = p_a p_nu, built from column nu of the S_(n-a) table by the
     Murnaghan-Nakayama rule on an n-bead abacus; so S_(n-1) is never read.
-    Column nu is expanded to all kappa of S_(n-a), kappa' taking
-    sign(nu) = (-1)^(|nu| - len nu) times the value of kappa.  A partition
-    of size at most n is the bitmask of its beta-numbers lam_i + n - 1 - i
-    (i < n, lam padded with zeros); multiplying s_kappa by p_a adds a border
-    strip of a cells, which moves one bead from b up to an empty b + a, with
-    sign (-1)^(beads passed).  The strips added to one kappa of S_(n-a) are
-    listed once per build, as the positions of the kept rows they reach.
+    Column nu is expanded to every kappa of S_(n-a) (`_full_column`).  A
+    partition of size at most n is the bitmask of its beta-numbers
+    lam_i + n - 1 - i (i < n, lam padded with zeros); multiplying s_kappa by
+    p_a adds a border strip of a cells, which moves one bead from b up to an
+    empty b + a, with sign (-1)^(beads passed).  The strips added to one
+    kappa of S_(n-a) are listed once per build, as the positions of the kept
+    rows they reach.
     `array('q')` refuses a value outside 64-bit range with OverflowError
     instead of wrapping, so every stored character value is exact.
     """
@@ -131,14 +131,8 @@ def _table(n: int) -> array:
         if a == 1:
             table.extend(irrep_dimension(parts[i]) for i in half)
             continue
-        index, small_half, small_mirror, small_odd, _ = _leg_layout(m)
-        j, size = index[mu[1:]], len(small_half)
-        sign = -1 if small_odd[j] else 1
-        expanded = [0] * len(index)  # column nu over all of partitions_of(m)
-        for k, k2, c in zip(small_half, small_mirror, _table(m)[j * size : (j + 1) * size]):
-            expanded[k], expanded[k2] = c, sign * c  # c = 0 where k = k2 and sign = -1
         column = [0] * len(half)
-        for k, c in enumerate(expanded):
+        for k, c in enumerate(_full_column(m, _partition_index(m)[mu[1:]])):
             if c:
                 plus, minus = added(a, k)
                 for r in plus:
@@ -166,17 +160,27 @@ def _class_sizes(n: int) -> tuple[int, ...]:
     return tuple(factorial(n) // centralizer_order(mu) for mu in partitions_of(n))
 
 
+def _full_column(n: int, j: int) -> list:
+    """Column j of the character table of S_n over every row, chi^lam(mu)
+    for mu = partitions_of(n)[j] and lam in `partitions_of(n)`, expanded
+    from the stored half by chi^lam'(mu) = sign(mu) chi^lam(mu)."""
+    index, half, mirror, odd, _ = _leg_layout(n)
+    size, sign = len(half), -1 if odd[j] else 1
+    column = [0] * len(index)
+    for i, i2, c in zip(half, mirror, _table(n)[j * size : (j + 1) * size]):
+        column[i], column[i2] = c, sign * c  # c = 0 where i = i2 and sign = -1
+    return column
+
+
 @cache
 def character_value(lam, mu) -> int:
     """Symmetric-group character chi^lam at cycle type mu, read off the
-    stored half table: a row lam > lam' is read at lam', times sign(mu)."""
+    stored half table (`_full_column`)."""
     n = sum(lam)
     if n != sum(mu):
         raise ValueError("character requires |lam| == |mu|")
-    index, half, _, odd, row = _leg_layout(n)
-    i, j = index[lam], index[mu]
-    value = _table(n)[j * len(half) + row[i]]
-    return -value if odd[j] and half[row[i]] != i else value
+    index = _partition_index(n)
+    return _full_column(n, index[mu])[index[lam]]
 
 
 class Packed:

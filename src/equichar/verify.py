@@ -127,21 +127,32 @@ class SuiteResult:
         }
 
 
+def _per_key(suite: str, cases, problems) -> SuiteResult:
+    """One check per (name, case) in `cases`: it fails with problems(case),
+    the list of what is wrong (empty or None when nothing is), joined by
+    "; ", or with the message of an ArithmeticError that problems(case)
+    raises, of the recursion or its check."""
+    result = SuiteResult(suite)
+    for name, case in cases:
+        try:
+            found = problems(case) or []
+        except ArithmeticError as exc:
+            found = [str(exc)]
+        result.checks.append(Check(name, not found, "; ".join(found)))
+    return result
+
+
 def run_paper_examples(calc: CharacterCalculator | None = None) -> SuiteResult:
     """Recompute every frozen closed form through the recursion; an
     ArithmeticError of the recursion or its check fails the key."""
     calc = calc or CharacterCalculator()
-    result = SuiteResult("paper-examples")
-    for (n, k, l), _ in sorted(KNOWN_CHARACTERS.items()):
-        try:
-            computed = calc.character(n, k, l)
-        except ArithmeticError as exc:
-            result.checks.append(Check(f"E({n},{k},{l})", False, str(exc)))
-            continue
-        ok = computed == known_character(n, k, l)
-        detail = "" if ok else f"computed {computed}"
-        result.checks.append(Check(f"E({n},{k},{l})", ok, detail))
-    return result
+
+    def problems(key):
+        computed = calc.character(*key)
+        return [] if computed == known_character(*key) else [f"computed {computed}"]
+
+    cases = ((f"E({n},{k},{l})", (n, k, l)) for n, k, l in sorted(KNOWN_CHARACTERS))
+    return _per_key("paper-examples", cases, problems)
 
 
 def run_duality(calc: CharacterCalculator | None = None, n_max: int = 10) -> SuiteResult:
@@ -150,15 +161,8 @@ def run_duality(calc: CharacterCalculator | None = None, n_max: int = 10) -> Sui
     Betti numbers) of E(n,0,1); an ArithmeticError of the recursion or the
     check fails n."""
     calc = calc or CharacterCalculator()
-    result = SuiteResult("duality")
-    for n in range(3, n_max + 1):
-        try:
-            _check_character((n, 0, 1), calc.character(n, 0, 1))
-        except ArithmeticError as exc:
-            result.checks.append(Check(f"n={n}", False, str(exc)))
-        else:
-            result.checks.append(Check(f"n={n}", True))
-    return result
+    ns = ((f"n={n}", n) for n in range(3, n_max + 1))
+    return _per_key("duality", ns, lambda n: _check_character((n, 0, 1), calc.character(n, 0, 1)))
 
 
 # The seed of the random pairs of the oracles suite.
@@ -270,14 +274,8 @@ def run_length_theorem(calc: CharacterCalculator | None = None, n_max: int = 8) 
     """The length analysis of E(n,0,1) for each n; an ArithmeticError of the
     recursion or its check fails n."""
     calc = calc or CharacterCalculator()
-    result = SuiteResult("length-theorem")
-    for n in range(3, n_max + 1):
-        try:
-            problems = length_theorem_report(n, calc).problems()
-        except ArithmeticError as exc:
-            problems = [str(exc)]
-        result.checks.append(Check(f"n={n}", not problems, "; ".join(problems)))
-    return result
+    ns = ((f"n={n}", n) for n in range(3, n_max + 1))
+    return _per_key("length-theorem", ns, lambda n: length_theorem_report(n, calc).problems())
 
 
 _RUNNERS = {

@@ -569,6 +569,37 @@ def test_cache_rejects_malformed_json(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize(
+    "key, fields, message",
+    [
+        pytest.param(
+            (6, 1, 3), {"v": True, "n": 6.0, "k": True, "l": 3.0}, "schema mismatch", id="header"
+        ),
+        pytest.param((6, 1, 3), {"v": True}, "schema mismatch", id="v-true"),
+        pytest.param((6, 1, 3), {"n": 6.0}, "different key", id="n-float"),
+        pytest.param((6, 1, 3), {"k": True}, "different key", id="k-true"),
+        pytest.param((6, 1, 3), {"l": 3.0}, "different key", id="l-float"),
+        pytest.param((6, 0, 2), {"k": False}, "different key", id="k-false"),
+        pytest.param((6, 1, 3), {"bidegree": [True, 5]}, "bidegree", id="bidegree-true"),
+        pytest.param((6, 0, 2), {"bidegree": [False, 6]}, "bidegree", id="bidegree-false"),
+    ],
+)
+def test_cache_header_numbers_are_ints(tmp_path, capsys, key, fields, message):
+    """The version, the key and the bidegree must be JSON integers, as
+    `character_json` writes them: true, false and 6.0 equal 1, 0 and 6 in
+    Python, but a file holding them is not the writer's, and `compute`
+    exits 3 with the message of a wrong value."""
+    n, k, l = key
+    CharacterCalculator(cache_dir=tmp_path).character(n, k, l)
+    path = tmp_path / "E_{}_{}_{}.json".format(*key)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    with pytest.raises(CacheError, match=message):
+        CharacterCalculator(cache_dir=tmp_path).character(n, k, l)
+    argv = ["compute", "--n", str(n), "--k", str(k), "--l", str(l), "--cache", str(tmp_path)]
+    assert main(argv) == 3
+    assert "cache error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "content",
     [pytest.param(b"\xff\xfe{}", id="not-utf8"), pytest.param(b"[" * 200000, id="nested-too-deep")],
 )

@@ -178,6 +178,24 @@ def test_form_is_canonical(a, b, c):
     assert hash(p) == hash(rebuilt)
 
 
+@given(
+    qpolys(max_degree=1),
+    st.one_of(st.integers(-(10**20), 10**20), st.fractions(max_denominator=10**6)),
+)
+def test_equal_values_hash_equal(p, scalar):
+    """A QPoly equal to an int or a Fraction hashes as that value does, so a
+    set or a dict holds the two as one element."""
+    for poly, value in ((QPoly(scalar), scalar), (p, p.coeff(0))):
+        if poly == value:
+            assert hash(poly) == hash(value)
+            assert len({value, poly}) == 1
+            assert {poly: 1}[value] == 1
+        else:
+            assert poly.degree >= 1
+    for value in (0, 1, -1, Fraction(1, 2), True):
+        assert len({value, QPoly(value)}) == 1
+
+
 @given(qpolys(), qpolys())
 def test_divexact_roundtrip(a, b):
     if b.is_zero():

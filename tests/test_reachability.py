@@ -30,13 +30,10 @@ PACKAGE = ROOT / "src" / "equichar"
 
 # Names no command enters, each with the reason it stays.
 UNREACHED = {
-    "symfunc._Terms._derivative": "documented; perfbench/spans.py patches its callers",
-    "symfunc.SymFunc.pderiv": "documented; perfbench/spans.py patches it",
-    "bigraded.BiSymFunc.deriv_x": "documented; perfbench/spans.py patches it",
-    "moduli.git_polynomial": "perfbench/spans.py patches it",
-    "qpoly.QPoly.divexact": "perfbench/spans.py patches it to count calls",
-    "qpoly.QPoly.reflect": "perfbench/gate.py checks palindromes with it",
-    "symfunc.character_value": "perfbench/worker.py reads its cache_info",
+    "moduli.git_polynomial": "perfbench/spans.py:26 patches it",
+    "qpoly.QPoly.divexact": "perfbench/spans.py:62 patches it to count calls",
+    "qpoly.QPoly.reflect": "perfbench/gate.py:87 checks palindromes with it",
+    "symfunc.character_value": "perfbench/worker.py:42 reads its cache_info",
 }
 
 # A cache file holding a character whose q-coefficient is not an integer.

@@ -267,6 +267,34 @@ def test_cli_cache_flow(tmp_path, capsys):
     assert "cache files: 0" in capsys.readouterr().out
 
 
+def test_cli_cache_lists_only_the_names_the_writer_makes(tmp_path, capsys):
+    """`cache` counts, and `cache --clear` removes, only `E_{n}_{k}_{l}.json`
+    and the writer's `.E_{n}_{k}_{l}.json.*.tmp`, with n, k and l ASCII
+    decimals as `str(int)` writes them; any other file stays."""
+    assert main(["compute", "--n", "5", "--cache", str(tmp_path)]) == 0
+    written = len(list(tmp_path.iterdir()))
+    (tmp_path / ".E_5_0_1.json.1-1.tmp").write_text("{")
+    others = [
+        "E_notes.json",
+        "E_1_2.json",
+        "E_1_2_3_4.json",
+        "E_05_0_1.json",
+        "E_+5_0_1.json",
+        "E_\u0665_0_1.json",  # an Arabic-Indic digit five
+        "E_5_0_1.json.bak",
+        ".E_5_0_1.json",
+        ".E_notes.json.1-1.tmp",
+    ]
+    for name in others:
+        (tmp_path / name).write_text("{}")
+    capsys.readouterr()
+    assert main(["cache", "--cache", str(tmp_path)]) == 0
+    assert f"cache files: {written}\n" in capsys.readouterr().out
+    assert main(["cache", "--cache", str(tmp_path), "--clear"]) == 0
+    assert f"removed {written} cache files" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(others)
+
+
 def test_cli_cache_clear_skips_vanished_files(tmp_path, monkeypatch, capsys):
     """A file that another clear, or a writer's rename, removes after the
     listing is skipped: `cache --clear` still exits 0."""
